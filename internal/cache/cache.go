@@ -379,6 +379,9 @@ func (s *stripe[V]) pushFrontTx(tx *core.Tx, e *entry[V]) {
 // original tail (now untouched) is victimized, so it always terminates.
 // Eviction and demotion counts accrue at commit through the stripe's
 // escrow counters, so concurrent evictors never conflict on a statistic.
+// The victim leaves scrubbed, which is what bounds the cache's memory by
+// its capacity: a live cell retains at most the one entry its superseded
+// record points at, and a dead entry retains nothing.
 func (s *stripe[V]) evictTx(tx *core.Tx) {
 	n := s.size.Load(tx)
 	for i := 0; ; i++ {
@@ -408,6 +411,14 @@ func (s *stripe[V]) evictTx(tx *core.Tx) {
 				e = en
 			}
 		}
+		// Scrub the victim: its links go to nil and their version history
+		// is dropped, so a dead entry pins neither its old neighbours nor
+		// the victims before it. (A plain store would keep the superseded
+		// record, and the record behind a dead entry's link is never
+		// overwritten again: every victim would hold the previous one.)
+		victim.prev.StoreFinal(tx, nil)
+		victim.next.StoreFinal(tx, nil)
+		victim.hnext.StoreFinal(tx, nil)
 		s.evictions.AddTx(tx, 1)
 		return
 	}

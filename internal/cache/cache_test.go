@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -470,3 +471,45 @@ var errRollback = errTest("rollback")
 type errTest string
 
 func (e errTest) Error() string { return string(e) }
+
+// TestEvictionDoesNotLeak: memory is bounded by capacity, not by how many
+// entries ever passed through. Before evicted entries were scrubbed, each
+// one stayed reachable from the superseded record of a link cell that is
+// never written again, and kept the victim before it alive the same way:
+// one chain holding every victim ever.
+func TestEvictionDoesNotLeak(t *testing.T) {
+	tm := core.New()
+	c := NewWith[int](tm, 256, Options{Stripes: 4})
+	live := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	fill := func(from, to int) {
+		for k := from; k < to; k++ {
+			if _, err := c.Put(k, k); err != nil {
+				t.Fatal(err)
+			}
+			if k%64 == 0 { // some hits, so the sweep demotes as well as evicts
+				if _, _, err := c.Get(k - 8); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	fill(0, 20_000)
+	early := live()
+	fill(20_000, 200_000)
+	late := live()
+	if err := c.Check(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, evictions := c.Stats(); evictions != 200_000-256 {
+		t.Fatalf("%d evictions, want %d", evictions, 200_000-256)
+	}
+	t.Logf("live heap: %d KiB after 20k inserts, %d KiB after 200k", early>>10, late>>10)
+	if late > early+early/2 {
+		t.Fatalf("live heap grew from %d to %d bytes over 180k evictions: evicted entries are retained", early, late)
+	}
+}

@@ -216,8 +216,20 @@ func (c *cell) unlock(newVersion uint64) {
 // overwritten cells allocate too (the records a pin retains cannot be
 // recycled, by design); the backlog is retired in one cut — and the
 // freelist refilled — on the first install after the pin releases.
+//
+// With keep == 1 (a final write, or a TM configured to keep one version)
+// and no pin at a version below wv, retire would cut every record behind
+// the new one. The current record is then rewritten in place instead —
+// under the lock, which is the rec contract's condition for rewriting any
+// record — so scrubbing the cells of an unlinked node allocates nothing.
 func (c *cell) install(v vbox, wv uint64, keep int, watermark uint64) {
 	old := c.cur.Load()
+	if keep == 1 && wv <= watermark && c.shape != shapeRef {
+		old.set(c.shape, v)
+		old.version.Store(wv)
+		c.retire(old, keep, watermark)
+		return
+	}
 	var r *rec
 	if c.shape != shapeRef && c.free != nil {
 		r = c.free
@@ -248,7 +260,11 @@ func (c *cell) install(v vbox, wv uint64, keep int, watermark uint64) {
 // (its meta bracket will reject the result, since retire only runs under
 // the lock mid-install) or sees nil and reports tooOld — exactly what it
 // would report a moment later anyway. Retired records of recycling shapes
-// go to the freelist; ref-shaped ones are left to the GC.
+// go to the freelist with their pointer payload cleared — a freelist may
+// sit unused for as long as its cell lives, and must not keep alive what
+// the cell pointed at versions ago; a reader still copying from such a
+// record is rejected by its meta bracket like any reader of a recycled
+// one. Ref-shaped records are left to the GC.
 func (c *cell) retire(head *rec, keep int, watermark uint64) {
 	tail := head
 	for i := 1; i < keep; i++ {
@@ -280,9 +296,12 @@ func (c *cell) retire(head *rec, keep int, watermark uint64) {
 	// (pin duration x write rate) on this cell forever. Anything beyond
 	// the cap is left unlinked for the GC.
 	last := retired
-	for n := 1; n < freelistCap; n++ {
+	for n := 1; ; n++ {
+		if c.shape == shapePtr {
+			last.ptr.Store(nil)
+		}
 		next := last.prev.Load()
-		if next == nil {
+		if n == freelistCap || next == nil {
 			break
 		}
 		last = next

@@ -72,7 +72,7 @@ func (tx *Tx) commit() bool {
 	watermark := tx.tm.pins.current()
 	for i := range tx.writes {
 		w := &tx.writes[i]
-		w.cell.install(w.val, wv, tx.tm.keepVersions, watermark)
+		w.cell.install(w.val, wv, tx.tm.keep(w), watermark)
 		w.cell.unlock(wv)
 		w.locked = false
 	}
@@ -89,12 +89,12 @@ func (tx *Tx) commit() bool {
 // write sets are a handful of entries and often already ordered
 // (structures walk cells in creation order), so an inline insertion sort
 // beats sort.Slice — which costs a closure allocation and reflection-based
-// swaps — on every update commit. Large write sets fall back to the
-// generic pdqsort to avoid going quadratic.
+// swaps — on every update commit. Write sets past writeScanMax fall back
+// to the generic pdqsort to avoid going quadratic, and are re-indexed: the
+// index holds positions, and the sort has permuted them.
 func (tx *Tx) sortWrites() {
 	ws := tx.writes
-	const insertionSortMax = 32
-	if len(ws) <= insertionSortMax {
+	if len(ws) <= writeScanMax {
 		for i := 1; i < len(ws); i++ {
 			for j := i; j > 0 && ws[j].cell.id < ws[j-1].cell.id; j-- {
 				ws[j], ws[j-1] = ws[j-1], ws[j]
@@ -110,6 +110,7 @@ func (tx *Tx) sortWrites() {
 			}
 			return 0
 		})
+		tx.windex.rebuild(ws)
 	}
 }
 
@@ -183,16 +184,14 @@ func (tx *Tx) validateReads() bool {
 		return true
 	}
 	// Reads of cells we locked ourselves validate against the pre-lock
-	// version; the write set is small, so a linear scan suffices.
+	// version.
 	check := func(c *cell, ver uint64) bool {
 		m := c.meta.Load()
 		if !isLocked(m) {
 			return version(m) == ver
 		}
-		for i := range tx.writes {
-			if tx.writes[i].cell == c && tx.writes[i].locked {
-				return tx.writes[i].prevVer == ver
-			}
+		if i := tx.findWrite(c); i >= 0 && tx.writes[i].locked {
+			return tx.writes[i].prevVer == ver
 		}
 		return false // locked by another transaction
 	}

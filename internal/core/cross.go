@@ -134,12 +134,9 @@ func (x *CrossTx) Prepare() bool {
 		x.locks = append(x.locks, crossLock{cell: tx.writes[i].cell, w: i})
 	}
 	appendRead := func(c *cell) {
-		for i := range tx.writes {
-			if tx.writes[i].cell == c {
-				return
-			}
+		if tx.findWrite(c) < 0 {
+			x.locks = append(x.locks, crossLock{cell: c, w: -1})
 		}
-		x.locks = append(x.locks, crossLock{cell: c, w: -1})
 	}
 	for i := range tx.reads {
 		appendRead(tx.reads[i].cell)
@@ -297,7 +294,7 @@ func (x *CrossTx) Commit() error {
 			l := &x.locks[i]
 			if l.w >= 0 {
 				w := &tx.writes[l.w]
-				l.cell.install(w.val, x.wv, x.tm.keepVersions, watermark)
+				l.cell.install(w.val, x.wv, x.tm.keep(w), watermark)
 				l.cell.unlock(x.wv)
 				w.locked = false
 			} else {

@@ -27,10 +27,10 @@ func (tx *Tx) load(c *cell) vbox {
 	if raceEnabled {
 		tx.tm.privCheck(c)
 	}
-	// Read-your-writes: the write set of list/set operations holds at
-	// most a handful of entries, so a linear scan beats a map.
-	for i := range tx.writes {
-		if tx.writes[i].cell == c {
+	// Read-your-writes. Most reads happen before the first write: the
+	// empty write set costs one length test.
+	if len(tx.writes) != 0 {
+		if i := tx.findWrite(c); i >= 0 {
 			return tx.writes[i].val
 		}
 	}
@@ -287,8 +287,8 @@ func (tx *Tx) loadVersioned(c *cell) (vbox, uint64) {
 	if raceEnabled {
 		tx.tm.privCheck(c)
 	}
-	for i := range tx.writes {
-		if tx.writes[i].cell == c {
+	if len(tx.writes) != 0 {
+		if i := tx.findWrite(c); i >= 0 {
 			return tx.writes[i].val, VersionPending
 		}
 	}

@@ -265,6 +265,15 @@ func (tm *TM) initCell(c *cell, shape cellShape, v vbox) {
 	c.cur.Store(r)
 }
 
+// keep returns how many versions the install of w retains: the configured
+// depth, or only the new one for a final write.
+func (tm *TM) keep(w *writeEntry) int {
+	if w.final {
+		return 1
+	}
+	return tm.keepVersions
+}
+
 // Stats returns a snapshot of the runtime counters.
 func (tm *TM) Stats() Stats { return tm.stats.snapshot() }
 
@@ -341,6 +350,7 @@ func (tm *TM) putTx(tx *Tx) {
 		tx.window = nil
 	}
 	tx.writes = trimClear(tx.writes)
+	tx.windex.release()
 	tx.onCommit = trimClear(tx.onCommit)
 	tx.onAbort = trimClear(tx.onAbort)
 	// The released map keeps its bucket array across clear(); drop an

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sync/atomic"
 	"time"
 )
@@ -29,11 +30,14 @@ type readEntry struct {
 // typed stores park their payload here without boxing. prevVer holds the
 // version the cell carried when this transaction locked it at commit, used
 // to restore the cell on abort and to validate reads of self-locked cells.
+// final asks the install to keep no history behind the new record
+// (TypedCell.StoreFinal).
 type writeEntry struct {
 	cell    *cell
 	val     vbox
 	prevVer uint64
 	locked  bool
+	final   bool
 }
 
 // Tx is a transaction in progress. Handles are created by TM.Atomically
@@ -70,6 +74,7 @@ type Tx struct {
 	// more than it saves on the hot path.
 	reads  []readEntry
 	writes []writeEntry
+	windex writeIndex  // cell → position in writes, past writeScanMax entries
 	window []readEntry // elastic sliding window (oldest first)
 	// released holds early-released cells; allocated lazily since early
 	// release is a rare expert operation.
@@ -431,8 +436,16 @@ func (tx *Tx) record(ev Event) {
 	}
 }
 
-// backoffWait sleeps for a randomized exponentially growing duration
-// between retries, bounded by the TM's backoff window.
+// timerFloor is the shortest wait handed to time.Sleep. A sleeping
+// goroutine whose P goes idle is woken by the netpoller, whose timeout has
+// millisecond resolution: time.Sleep(500ns) was measured at 330 µs and
+// time.Sleep(50µs) at 1.15 ms, which turned every conflict under the
+// default 0.5–100 µs windows into a millisecond stall.
+const timerFloor = time.Millisecond
+
+// backoffWait waits for a randomized exponentially growing duration
+// between retries, bounded by the TM's backoff window. Waits the timer
+// cannot honour yield the processor instead of sleeping (Pause).
 func (tx *Tx) backoffWait() {
 	shift := tx.attempt
 	if shift > 16 {
@@ -445,10 +458,23 @@ func (tx *Tx) backoffWait() {
 	if window <= 0 {
 		return
 	}
-	// xorshift64 jitter: sleep a uniform fraction of the window.
+	// xorshift64 jitter: wait a uniform fraction of the window.
 	tx.rnd ^= tx.rnd << 13
 	tx.rnd ^= tx.rnd >> 7
 	tx.rnd ^= tx.rnd << 17
-	d := time.Duration(tx.rnd % uint64(window))
-	time.Sleep(d)
+	Pause(time.Duration(tx.rnd % uint64(window)))
+}
+
+// Pause waits for d between the retries of a conflicting operation: a
+// sleep when the timer can honour d, and otherwise yields of the
+// processor until a monotonic deadline. It is the one wait under the
+// retry backoff of Atomically and of shard.AtomicallyAll.
+func Pause(d time.Duration) {
+	if d >= timerFloor {
+		time.Sleep(d)
+		return
+	}
+	for start := time.Now(); time.Since(start) < d; {
+		runtime.Gosched()
+	}
 }

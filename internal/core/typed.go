@@ -61,7 +61,25 @@ func (c *TypedCell[T]) Store(tx *Tx, value T) {
 	if c == nil {
 		panic("core: Store to nil cell")
 	}
-	tx.store(&c.h, encodeVal(c.h.shape, value))
+	tx.store(&c.h, encodeVal(c.h.shape, value), false)
+}
+
+// StoreFinal is Store for the last write a cell will ever see — the
+// scrub of a node being unlinked from its structure, after which no
+// transaction reaches the cell again. The write is buffered, validated
+// and made visible like any other; what differs is the install, which
+// drops the cell's version history instead of keeping the configured
+// number of past versions, so a dead node stops pinning whatever its
+// links used to point at. History a SnapshotPin can still read is kept,
+// exactly as on a plain Store, and is cut by the first install after the
+// pin releases. An UNPINNED snapshot transaction whose start predates the
+// commit finds no version old enough, aborts (AbortSnapshotTooOld) and
+// retries at a newer bound: it may retry, it never sees a wrong value.
+func (c *TypedCell[T]) StoreFinal(tx *Tx, value T) {
+	if c == nil {
+		panic("core: StoreFinal to nil cell")
+	}
+	tx.store(&c.h, encodeVal(c.h.shape, value), true)
 }
 
 // LoadVersioned is Load additionally reporting the commit version of the

@@ -153,12 +153,7 @@ func TestWALCheckpointAndTrim(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Post-checkpoint tail: new writes replay on top of the chain. Doing
-	// them BEFORE the trim also guarantees the pre-checkpoint segments
-	// are sealed (the daemon acks a batch before rolling its segment, so
-	// trimming right after the last pre-checkpoint ack could still see
-	// its segment open — a benign race for a best-effort GC, but this
-	// test wants an exact count).
+	// Post-checkpoint tail: new writes replay on top of the chain.
 	for k := 6; k < 18; k++ {
 		if _, err := m.Put(k, 7000+k); err != nil {
 			t.Fatal(err)

@@ -121,9 +121,12 @@ func TestRollFailurePoisons(t *testing.T) {
 		t.Fatalf("append: %v", err)
 	}
 	ffs.SetInjector(failKind{kind: faultfs.OpCreate})
-	// The previous roll may already have opened segment 2; this append's
-	// post-batch roll hits the injected create failure.
-	<-d.Append([]byte("b"))
+	// The first append's roll opened segment 2 before its ack; this
+	// append's roll hits the injected create failure. Its record was
+	// synced first, so it is acked durable.
+	if err := <-d.Append([]byte("b")); err != nil {
+		t.Fatalf("append whose roll failed, after its sync: %v", err)
+	}
 	if e := <-d.Append([]byte("c")); !errors.Is(e, ErrDurabilityLost) {
 		t.Fatalf("append after failed roll: %v", e)
 	}

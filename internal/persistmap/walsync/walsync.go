@@ -300,7 +300,10 @@ func (d *Daemon) Close() error {
 }
 
 // loop is the group-commit goroutine: drain a batch, write it, (crash
-// hook), fsync once, ack everyone in it, roll if the segment is full.
+// hook), fsync once, roll if the segment is full, ack everyone in it.
+// Rolling before the ack means a committer that has its ack also sees
+// CurrentSeq past every full segment its record could be in, so a TrimTo
+// it issues next is not racing the seal.
 func (d *Daemon) loop() {
 	defer close(d.done)
 	for {
@@ -368,15 +371,17 @@ func (d *Daemon) loop() {
 		}
 		seq := d.seq
 		d.mu.Unlock()
-		for _, p := range batch {
-			p.ack <- nil
-		}
+		var rerr error
 		if d.size >= d.cfg.SegmentBytes {
-			if err := d.roll(seq); err != nil {
-				// No further record can ever be made durable: poison.
-				d.poisonAll(nil, err)
-				return
-			}
+			rerr = d.roll(seq)
+		}
+		for _, p := range batch {
+			p.ack <- nil // synced above, whatever became of the roll
+		}
+		if rerr != nil {
+			// No further record can ever be made durable: poison.
+			d.poisonAll(nil, rerr)
+			return
 		}
 	}
 }

@@ -177,7 +177,7 @@ func (m *MultiTx) abortAll() {
 	}
 }
 
-// backoff sleeps a jittered, exponentially growing duration between
+// backoff waits a jittered, exponentially growing duration between
 // cross-shard retries, mirroring the single-TM engine's policy.
 func backoff(rnd uint64, attempt int) uint64 {
 	shift := attempt
@@ -191,6 +191,6 @@ func backoff(rnd uint64, attempt int) uint64 {
 	rnd ^= rnd << 13
 	rnd ^= rnd >> 7
 	rnd ^= rnd << 17
-	time.Sleep(time.Duration(rnd % uint64(window)))
+	core.Pause(time.Duration(rnd % uint64(window)))
 	return rnd
 }

@@ -7,11 +7,16 @@ import (
 )
 
 // tnode is one tree node. The key is immutable; the value, children and
-// color are typed transactional cells, so rebalancing is just
-// transactional stores along the search path — and, being typed, the
-// stores carry node pointers and colour bits in specialized records
-// instead of boxed interfaces: a put/delete commit allocates only the
-// nodes it creates.
+// color are typed transactional cells — and, being typed, they carry node
+// pointers and colour bits in specialized records instead of boxed
+// interfaces: a put/delete commit allocates only the nodes it creates.
+//
+// A mutation stores to a cell only when the value it writes differs from
+// the one the transaction just loaded there (a silent store would lock,
+// version and install the cell to change nothing, and would make the
+// writer conflict with every reader of it). The cells a put or delete
+// merely passed through stay in its read set; the ones it writes are the
+// links and colours that really change.
 type tnode[V any] struct {
 	key   int
 	val   *core.TypedCell[V]
@@ -70,15 +75,23 @@ func (m *TreeMapOf[V]) newNode(key int, val V) *tnode[V] {
 	}
 }
 
+// relink points link at n, unless old — what the transaction just loaded
+// from link — is n already.
+func relink[V any](tx *core.Tx, link *core.TypedCell[*tnode[V]], old, n *tnode[V]) {
+	if n != old {
+		link.Store(tx, n)
+	}
+}
+
 // rotateLeft/rotateRight/flipColors are the textbook LLRB primitives,
-// expressed as transactional stores.
+// expressed as transactional stores. A rotation always changes its two
+// links; the colours it hands over change only when h and x differed.
 
 func rotateLeft[V any](tx *core.Tx, h *tnode[V]) *tnode[V] {
 	x := h.right.Load(tx)
 	h.right.Store(tx, x.left.Load(tx))
 	x.left.Store(tx, h)
-	x.red.Store(tx, isRed(tx, h))
-	h.red.Store(tx, true)
+	swapColors(tx, h, x)
 	return x
 }
 
@@ -86,11 +99,24 @@ func rotateRight[V any](tx *core.Tx, h *tnode[V]) *tnode[V] {
 	x := h.left.Load(tx)
 	h.left.Store(tx, x.right.Load(tx))
 	x.right.Store(tx, h)
-	x.red.Store(tx, isRed(tx, h))
-	h.red.Store(tx, true)
+	swapColors(tx, h, x)
 	return x
 }
 
+// swapColors finishes a rotation of x above h: x takes h's colour and h
+// turns red.
+func swapColors[V any](tx *core.Tx, h, x *tnode[V]) {
+	hRed := h.red.Load(tx)
+	if x.red.Load(tx) != hRed {
+		x.red.Store(tx, hRed)
+	}
+	if !hRed {
+		h.red.Store(tx, true)
+	}
+}
+
+// flipColors toggles h and both its children, so every store changes its
+// cell.
 func flipColors[V any](tx *core.Tx, h *tnode[V]) {
 	h.red.Store(tx, !isRed(tx, h))
 	if l := h.left.Load(tx); l != nil {
@@ -132,29 +158,47 @@ func (m *TreeMapOf[V]) GetTx(tx *core.Tx, key int) (V, bool) {
 }
 
 // PutTx binds key to val inside the caller's transaction; it reports
-// whether the key was new.
+// whether the key was new. Overwriting a bound key reads the search path
+// and writes the value cell, nothing else; an insert links the leaf and
+// writes the nodes it rotates or recolours, and the root cell only when
+// the root node changes — so two puts conflict only on cells one of them
+// really changes.
 func (m *TreeMapOf[V]) PutTx(tx *core.Tx, key int, val V) bool {
-	inserted := false
-	var put func(h *tnode[V]) *tnode[V]
-	put = func(h *tnode[V]) *tnode[V] {
-		if h == nil {
-			inserted = true
-			return m.newNode(key, val)
-		}
-		switch {
-		case key < h.key:
-			h.left.Store(tx, put(h.left.Load(tx)))
-		case key > h.key:
-			h.right.Store(tx, put(h.right.Load(tx)))
-		default:
-			h.val.Store(tx, val)
-		}
-		return fixUp(tx, h)
+	old := m.root.Load(tx)
+	root, inserted, red := m.put(tx, old, key, val)
+	if red {
+		root.red.Store(tx, false)
 	}
-	newRoot := put(m.root.Load(tx))
-	newRoot.red.Store(tx, false)
-	m.root.Store(tx, newRoot)
+	relink(tx, m.root, old, root)
 	return inserted
+}
+
+// put binds key in the subtree under h and returns the subtree's root.
+// red reports that this root is red after an insert below it: the red
+// link is still travelling up, and the caller must fix up (or, at the
+// top, blacken the root). A black root ends the rebalancing — nothing an
+// ancestor tests has changed — so the ancestors only get their child link
+// compared.
+func (m *TreeMapOf[V]) put(tx *core.Tx, h *tnode[V], key int, val V) (root *tnode[V], inserted, red bool) {
+	if h == nil {
+		return m.newNode(key, val), true, true
+	}
+	link := h.left
+	switch {
+	case key > h.key:
+		link = h.right
+	case key == h.key:
+		h.val.Store(tx, val)
+		return h, false, false
+	}
+	old := link.Load(tx)
+	child, inserted, red := m.put(tx, old, key, val)
+	relink(tx, link, old, child)
+	if !red {
+		return h, inserted, false
+	}
+	h = fixUp(tx, h)
+	return h, true, isRed(tx, h)
 }
 
 // moveRedLeft/moveRedRight are the LLRB deletion helpers.
@@ -189,13 +233,15 @@ func minNode[V any](tx *core.Tx, h *tnode[V]) *tnode[V] {
 }
 
 func deleteMin[V any](tx *core.Tx, h *tnode[V]) *tnode[V] {
-	if h.left.Load(tx) == nil {
+	l := h.left.Load(tx)
+	if l == nil {
 		return nil
 	}
-	if !isRed(tx, h.left.Load(tx)) && !isRed(tx, h.left.Load(tx).left.Load(tx)) {
+	if !isRed(tx, l) && !isRed(tx, l.left.Load(tx)) {
 		h = moveRedLeft(tx, h)
+		l = h.left.Load(tx)
 	}
-	h.left.Store(tx, deleteMin(tx, h.left.Load(tx)))
+	relink(tx, h.left, l, deleteMin(tx, l))
 	return fixUp(tx, h)
 }
 
@@ -205,50 +251,54 @@ func (m *TreeMapOf[V]) DeleteTx(tx *core.Tx, key int) bool {
 	if _, ok := m.GetTx(tx, key); !ok {
 		return false
 	}
-	var del func(h *tnode[V]) *tnode[V]
-	del = func(h *tnode[V]) *tnode[V] {
-		if key < h.key {
-			l := h.left.Load(tx)
-			if !isRed(tx, l) && l != nil && !isRed(tx, l.left.Load(tx)) {
-				h = moveRedLeft(tx, h)
-			}
-			h.left.Store(tx, del(h.left.Load(tx)))
-		} else {
-			if isRed(tx, h.left.Load(tx)) {
-				h = rotateRight(tx, h)
-			}
-			if key == h.key && h.right.Load(tx) == nil {
-				return nil
-			}
-			r := h.right.Load(tx)
-			if !isRed(tx, r) && r != nil && !isRed(tx, r.left.Load(tx)) {
-				h = moveRedRight(tx, h)
-			}
-			if key == h.key {
-				// Replace with the successor's key/value; keys are
-				// immutable per node, so graft a fresh node keeping
-				// the children and color cells' contents.
-				succ := minNode(tx, h.right.Load(tx))
-				repl := &tnode[V]{
-					key:   succ.key,
-					val:   core.NewTypedCell(m.tm, succ.val.Load(tx)),
-					left:  core.NewTypedCell(m.tm, h.left.Load(tx)),
-					right: core.NewTypedCell(m.tm, deleteMin(tx, h.right.Load(tx))),
-					red:   core.NewTypedCell(m.tm, isRed(tx, h)),
-				}
-				h = repl
-			} else {
-				h.right.Store(tx, del(h.right.Load(tx)))
-			}
+	old := m.root.Load(tx)
+	root := m.remove(tx, old, key)
+	if isRed(tx, root) {
+		root.red.Store(tx, false)
+	}
+	relink(tx, m.root, old, root)
+	return true
+}
+
+// remove unbinds key, which is bound, from the subtree under h and
+// returns the subtree's root.
+func (m *TreeMapOf[V]) remove(tx *core.Tx, h *tnode[V], key int) *tnode[V] {
+	if key < h.key {
+		l := h.left.Load(tx)
+		if !isRed(tx, l) && l != nil && !isRed(tx, l.left.Load(tx)) {
+			h = moveRedLeft(tx, h)
+			l = h.left.Load(tx)
 		}
+		relink(tx, h.left, l, m.remove(tx, l, key))
 		return fixUp(tx, h)
 	}
-	newRoot := del(m.root.Load(tx))
-	if newRoot != nil {
-		newRoot.red.Store(tx, false)
+	if isRed(tx, h.left.Load(tx)) {
+		h = rotateRight(tx, h)
 	}
-	m.root.Store(tx, newRoot)
-	return true
+	if key == h.key && h.right.Load(tx) == nil {
+		return nil
+	}
+	r := h.right.Load(tx)
+	if !isRed(tx, r) && r != nil && !isRed(tx, r.left.Load(tx)) {
+		h = moveRedRight(tx, h)
+		r = h.right.Load(tx)
+	}
+	if key == h.key {
+		// Replace with the successor's key/value; keys are immutable per
+		// node, so graft a fresh node keeping the children and color
+		// cells' contents.
+		succ := minNode(tx, r)
+		h = &tnode[V]{
+			key:   succ.key,
+			val:   core.NewTypedCell(m.tm, succ.val.Load(tx)),
+			left:  core.NewTypedCell(m.tm, h.left.Load(tx)),
+			right: core.NewTypedCell(m.tm, deleteMin(tx, r)),
+			red:   core.NewTypedCell(m.tm, isRed(tx, h)),
+		}
+	} else {
+		relink(tx, h.right, r, m.remove(tx, r, key))
+	}
+	return fixUp(tx, h)
 }
 
 // LenTx counts the bindings inside the caller's transaction.
