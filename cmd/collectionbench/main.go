@@ -18,14 +18,12 @@
 // abort rate and hit rate per thread count); -fig none runs it standalone.
 //
 // -cachestripes appends the cache stripe sweep: the striped LRU measured
-// at 1/2/4/8/16 stripes across the thread counts on a get-heavy mix,
-// with the pre-rework strict-LRU configuration (one stripe, every hit
-// relinking to MRU) as the contention baseline. By default the sweep
-// runs the hit-path regime (key range 7/8 of capacity: pure hits, no
-// eviction); -cachekeys overrides the key range, and values above the
-// capacity (-size/2) select the insert/evict churn regime instead. The
-// trajectory records each curve's stripe count in the series' "stripes"
-// field.
+// at 1/2/4/8/16 stripes across the thread counts on a get-heavy mix. By
+// default the sweep runs the hit-path regime (key range 7/8 of capacity:
+// pure hits, no eviction); -cachekeys overrides the key range, and values
+// above the capacity (-size/2) select the insert/evict churn regime
+// instead. The trajectory records each curve's stripe count in the
+// series' "stripes" field.
 //
 // -readpath appends the privatization read-path sweep: the same map read
 // through classic transactions, a pinned snapshot, and privatized plain

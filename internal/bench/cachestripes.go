@@ -11,21 +11,18 @@ import (
 
 // This file implements the cache stripe sweep: the striped transactional
 // LRU (internal/cache) measured across stripe counts × thread counts on
-// a get-heavy mix, with the pre-rework strict-LRU configuration (one
-// stripe, relink-on-hit) kept in every run as the contention baseline.
-// The default regime is the hit path: the key range sits at 7/8 of
-// capacity, so after warming every key is resident, no stripe ever
-// overflows its capacity share (Fibonacci routing spreads keys within a
-// few percent of even, well inside the 12.5% slack), and the measured
-// window is 100% hits with zero eviction traffic. That is the regime
-// the rework targets — the relink baseline writes the shared MRU head
-// cell on every hit, while second-chance hits only set a key-local bit
-// (read-only once set) — so the contrast shows up as hit-path ops/s on
-// a many-core host and as hit-path abort rate on a small one. Setting
-// KeyRange above Capacity instead selects the churn regime (continuous
-// insert/evict traffic); there the conflicting writes are bucket-chain
-// and tail updates, which the stripes divide but every configuration
-// pays.
+// a get-heavy mix. The default regime is the hit path: the key range sits
+// at 7/8 of capacity, so after warming every key is resident, no stripe
+// ever overflows its capacity share (Fibonacci routing spreads keys within
+// a few percent of even, well inside the 12.5% slack), and the measured
+// window is 100% hits with zero eviction traffic — second-chance hits only
+// set a key-local bit (read-only once set). The strict-LRU baseline the
+// second-chance path replaced (one stripe, every hit relinking to the
+// shared MRU head) has its last measurement in BENCH_collection.json as
+// "tx-lru-relink-s1". Setting KeyRange above Capacity instead selects the
+// churn regime (continuous insert/evict traffic); there the conflicting
+// writes are bucket-chain and tail updates, which the stripes divide but
+// every configuration pays.
 
 // CacheStripesConfig parameterizes RunCacheStripesSweep.
 type CacheStripesConfig struct {
@@ -73,12 +70,10 @@ func (cfg *CacheStripesConfig) fill() {
 // RunCacheStripesSweep measures the striped cache at every stripe count
 // × thread count of cfg: a 65/25/10 get/put/peek mix (get-heavy — the
 // hit path is what striping and the second-chance bit are for) over
-// cfg.KeyRange keys. The first series is the pre-rework baseline — one
-// stripe, RelinkOnHit, i.e. strict LRU whose every hit writes the shared
-// head cell — and the rest are second-chance curves, one Series per
-// stripe count with its Stripes field set, so the trajectory records
-// which curve is which. With w non-nil the table prints as it measures;
-// with rec non-nil the series land under the "lru-cache-stripes" figure.
+// cfg.KeyRange keys, one Series per stripe count with its Stripes field
+// set, so the trajectory records which curve is which. With w non-nil the
+// table prints as it measures; with rec non-nil the series land under the
+// "lru-cache-stripes" figure.
 func RunCacheStripesSweep(w io.Writer, rec *JSONRun, cfg CacheStripesConfig, opts ...core.Option) ([]Series, error) {
 	cfg.fill()
 	if w != nil {
@@ -86,27 +81,17 @@ func RunCacheStripesSweep(w io.Writer, rec *JSONRun, cfg CacheStripesConfig, opt
 			cfg.Capacity, cfg.KeyRange)
 		fmt.Fprintf(w, "%-16s %8s %14s %12s %10s %10s\n", "impl", "threads", "ops/s", "aborts", "abort%", "hit%")
 	}
-	type variant struct {
-		impl    string
-		stripes int
-		relink  bool
-	}
-	variants := []variant{{impl: "tx-lru-relink-s1", stripes: 1, relink: true}}
-	for _, ns := range cfg.StripeCounts {
-		variants = append(variants, variant{impl: fmt.Sprintf("tx-lru-s%d", ns), stripes: ns})
-	}
 	var out []Series
-	for _, v := range variants {
-		s := Series{Impl: v.impl, Stripes: v.stripes}
+	for _, ns := range cfg.StripeCounts {
+		s := Series{Impl: fmt.Sprintf("tx-lru-s%d", ns), Stripes: ns}
 		for _, th := range cfg.Threads {
-			res, err := runCacheStripesPoint(cfg, v.stripes, v.relink, th, opts...)
+			res, err := runCacheStripesPoint(cfg, ns, th, opts...)
 			if err != nil {
 				return nil, err
 			}
-			res.Impl = v.impl
 			if w != nil {
 				fmt.Fprintf(w, "%-16s %8d %14.0f %12d %9.3f%% %9.1f%%\n",
-					v.impl, th, res.Throughput, res.TxAborts, 100*res.AbortRate(), 100*res.HitRate)
+					s.Impl, th, res.Throughput, res.TxAborts, 100*res.AbortRate(), 100*res.HitRate)
 			}
 			s.Threads = append(s.Threads, th)
 			s.Speedups = append(s.Speedups, 0) // no sequential denominator for the cache
@@ -120,9 +105,9 @@ func RunCacheStripesSweep(w io.Writer, rec *JSONRun, cfg CacheStripesConfig, opt
 	return out, nil
 }
 
-func runCacheStripesPoint(cfg CacheStripesConfig, stripes int, relink bool, threads int, opts ...core.Option) (Result, error) {
+func runCacheStripesPoint(cfg CacheStripesConfig, stripes, threads int, opts ...core.Option) (Result, error) {
 	tm := core.New(opts...)
-	c := cache.NewWith[int](tm, cfg.Capacity, cache.Options{Stripes: stripes, RelinkOnHit: relink})
+	c := cache.NewWith[int](tm, cfg.Capacity, cache.Options{Stripes: stripes})
 	// Warm across the whole key range: in the hit-path regime every key
 	// is then resident for the whole measured window; in the churn
 	// regime every stripe starts at its share so eviction runs from the

@@ -1,7 +1,8 @@
 // Package boost implements transactional boosting (Herlihy & Koskinen,
 // PPoPP 2008 — the paper's [39]) and an escrow-style counter (Reuter's
 // high-traffic elements / O'Neil's escrow method — [25, 26]) on top of the
-// polymorphic runtime's deferred-action hooks.
+// polymorphic runtime: boosting on its deferred-action hooks (core.Tx.Defer),
+// the counter on its commit-time delta log (core.Tx.AddOnCommit).
 //
 // The paper's section 4.1 discusses these as the *competing* relaxation
 // methodology: operations on a concurrent object commute at a high level
@@ -171,18 +172,14 @@ func (s *SetView) ContainsTx(tx *core.Tx, v int) (bool, error) {
 // commit, so concurrent updaters never conflict on the counter — the
 // database ancestor of the paper's snapshot-style relaxations.
 //
-// The committed value is a plain atomic (no mutex on the read path, no
-// boxing on the aggregate), and the per-transaction delta boxes recycle
-// through a pool — the same de-allocation treatment the typed-cell work
-// gave the runtime's own update path.
+// The counter is one atomic word alone on its cache line (counters of one
+// owner are allocated back to back; unpadded they would share a line and
+// every commit's add would invalidate its neighbours). The pending delta
+// lives in the transaction's commit-time delta log (core.Tx.AddOnCommit):
+// no shared map, no closure, nothing to allocate or to clean up on abort.
 type EscrowCounter struct {
 	value atomic.Int64
-	// pending tracks per-transaction deltas registered this attempt, so
-	// reads inside the owning transaction see their own updates.
-	pending sync.Map // *core.Tx -> *int64
-	// boxPool recycles the delta boxes across transactions: a warm
-	// AddTx/commit cycle allocates nothing.
-	boxPool sync.Pool
+	_     [56]byte
 }
 
 // NewEscrowCounter returns a counter starting at initial.
@@ -196,27 +193,7 @@ func NewEscrowCounter(initial int64) *EscrowCounter {
 // abort. Concurrent transactions adding to the same counter do not
 // conflict.
 func (c *EscrowCounter) AddTx(tx *core.Tx, delta int64) {
-	if p, ok := c.pending.Load(tx); ok {
-		*(p.(*int64)) += delta
-		return
-	}
-	d, _ := c.boxPool.Get().(*int64)
-	if d == nil {
-		d = new(int64)
-	}
-	*d = delta
-	c.pending.Store(tx, d)
-	tx.Defer(
-		func() {
-			c.value.Add(*d)
-			c.pending.Delete(tx)
-			c.boxPool.Put(d)
-		},
-		func() {
-			c.pending.Delete(tx)
-			c.boxPool.Put(d)
-		},
-	)
+	tx.AddOnCommit(&c.value, delta)
 }
 
 // GetTx returns the counter as seen by tx: the committed value plus tx's
@@ -224,11 +201,7 @@ func (c *EscrowCounter) AddTx(tx *core.Tx, delta int64) {
 // consistent with respect to other counters — the documented price of the
 // escrow relaxation.
 func (c *EscrowCounter) GetTx(tx *core.Tx) int64 {
-	v := c.value.Load()
-	if p, ok := c.pending.Load(tx); ok {
-		v += *(p.(*int64))
-	}
-	return v
+	return c.value.Load() + tx.PendingOnCommit(&c.value)
 }
 
 // Value returns the committed value (no transaction required).

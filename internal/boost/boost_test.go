@@ -256,3 +256,92 @@ func TestEscrowCounterAbortDiscards(t *testing.T) {
 		t.Fatalf("aborted delta leaked: %d", got)
 	}
 }
+
+// TestEscrowCounterAllocatesNothing fences the warm AddTx commit: the
+// pending delta rides the pooled transaction handle.
+func TestEscrowCounterAllocatesNothing(t *testing.T) {
+	if core.PrivatizeGuardsEnabled {
+		t.Skip("race-detector builds defeat sync.Pool reuse by design")
+	}
+	tm := core.New()
+	c := NewEscrowCounter(0)
+	add := func(tx *core.Tx) error {
+		c.AddTx(tx, 1)
+		return nil
+	}
+	run := func() {
+		if err := tm.Atomically(core.Classic, add); err != nil {
+			t.Error(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		run()
+	}
+	// Twice, keeping the smaller: a GC between runs may empty the handle
+	// pool and charge the refill to one iteration.
+	if a := testing.AllocsPerRun(200, run); a != 0 {
+		if a = testing.AllocsPerRun(200, run); a != 0 {
+			t.Errorf("warm EscrowCounter.AddTx commit allocates %.2f objects/op, want 0", a)
+		}
+	}
+}
+
+// TestEscrowCountersExactUnderAborts is the quiescent-exactness contract
+// under fire: 8 goroutines x 10k transactions bump 4 shared counters, a
+// third of the attempts abort on purpose (user errors and restarts, so
+// both the give-up and the retry path drop deltas), and every counter
+// ends at exactly the sum of the committed deltas. Run it under -race.
+func TestEscrowCountersExactUnderAborts(t *testing.T) {
+	const workers, perWorker = 8, 10_000
+	tm := core.New()
+	var cs [4]*EscrowCounter
+	for i := range cs {
+		cs[i] = NewEscrowCounter(0)
+	}
+	var want [workers][len(cs)]int64
+	boom := errors.New("boom")
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				a, b := (w+i)%len(cs), (w+3*i+1)%len(cs)
+				d := int64(i%7 - 2)
+				err := tm.Atomically(core.Classic, func(tx *core.Tx) error {
+					cs[a].AddTx(tx, d)
+					cs[b].AddTx(tx, 1)
+					if i%3 == 1 && tx.Attempt() == 1 {
+						if i%2 == 1 {
+							return boom
+						}
+						tx.Restart()
+					}
+					return nil
+				})
+				switch {
+				case err == nil:
+					want[w][a] += d
+					want[w][b]++
+				case !errors.Is(err, boom):
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for i, c := range cs {
+		var sum int64
+		for w := range want {
+			sum += want[w][i]
+		}
+		if got := c.Value(); got != sum {
+			t.Errorf("counter %d = %d, want %d", i, got, sum)
+		}
+	}
+	const onPurpose = workers * ((perWorker + 1) / 3) // every i with i%3 == 1
+	if st := tm.Stats(); st.TotalAborts() != onPurpose {
+		t.Errorf("aborts = %d, want %d on purpose and none from conflicts", st.TotalAborts(), onPurpose)
+	}
+}

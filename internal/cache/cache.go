@@ -4,13 +4,23 @@
 // composable with any other transactional state.
 //
 // The structure is a STRIPED LRU: the capacity is split across N stripes
-// (a power of two, default min(GOMAXPROCS*2, 16)), each owning its own
-// hash-bucket directory, its own recency list (head/tail/size typed
-// cells) and its own escrow statistics legs. Keys are routed to a stripe
-// by a Fibonacci multiplicative hash, so promotions and evictions on
-// different stripes never share a written cell — concurrent commits on
-// unrelated keys cannot conflict on a global list head or tail, which is
-// what made the unsharded cache the tree's worst many-core scaling story.
+// (a power of two), each owning its own hash-bucket directory, its own
+// recency list (head/tail/size typed cells) and its own escrow statistics
+// legs. Keys are routed to a stripe by a Fibonacci multiplicative hash, so
+// promotions and evictions on different stripes never share a written
+// cell — concurrent commits on unrelated keys cannot conflict on a global
+// list head or tail, which is what made the unsharded cache the tree's
+// worst many-core scaling story.
+//
+// CAPACITY IS PER STRIPE. Each stripe owns a fixed capacity/N share and
+// evicts when ITS share is full, whatever room the others have: the total
+// never exceeds the capacity, but a key set the hash spreads unevenly
+// starts evicting before the total is reached. The default stripe count
+// depends on the capacity alone, never on the host — 16, halved while a
+// stripe would own fewer than 64 slots — so a cache of up to 127 entries
+// is one stripe with an exact bound, and which keys survive is the same
+// on every machine. Ask for more stripes with NewWith and the share
+// shrinks accordingly.
 //
 // On top of striping, hits are READ-MOSTLY via a CLOCK-style second
 // chance: every entry carries a word-shaped `touched` cell. A hit does
@@ -31,13 +41,13 @@
 // Hit/miss/eviction/demotion statistics go through boost.EscrowCounter
 // (the escrow relaxation): counter bumps commute, so concurrent
 // operations never conflict on the stats, yet aborted attempts leave no
-// trace — eviction accounting composed with the escrow method, exactly
-// the pairing the paper's section 4.1 contrasts with semantics labels.
+// trace, and the bumps are no writes: a hit on a touched entry stays a
+// read-only commit that allocates nothing — eviction accounting composed
+// with the escrow method, exactly the pairing the paper's section 4.1
+// contrasts with semantics labels.
 package cache
 
 import (
-	"runtime"
-
 	"repro/internal/boost"
 	"repro/internal/core"
 )
@@ -90,24 +100,21 @@ type Cache[V any] struct {
 	capacity int
 	stripes  []*stripe[V]
 	sshift   uint // 64 - log2(len(stripes)); x >> sshift routes to a stripe
-	relink   bool // strict-LRU baseline: hits relink to MRU instead of touching
 }
+
+// Default stripe count: maxDefaultStripes, halved while a stripe would own
+// fewer than minStripeSlots slots. A function of the capacity only.
+const (
+	maxDefaultStripes = 16
+	minStripeSlots    = 64
+)
 
 // Options configures NewWith.
 type Options struct {
 	// Stripes is the number of independent stripes; it is rounded up to a
 	// power of two and capped so every stripe owns at least one slot.
-	// Zero selects the default min(GOMAXPROCS*2, 16).
+	// Zero selects the capacity-derived default (see the package comment).
 	Stripes int
-	// RelinkOnHit restores the strict per-stripe LRU discipline this
-	// package had before the second-chance rework: every hit unlinks the
-	// entry and relinks it at the MRU position, writing the stripe's
-	// shared head cell (and up to three link cells) on the hit path. It
-	// exists as the measured baseline for the cache benchmarks — the
-	// configuration that shows what the reference-bit hit path buys —
-	// and for callers who genuinely need exact per-stripe LRU order and
-	// accept hit-path commit conflicts to get it.
-	RelinkOnHit bool
 }
 
 // New builds an empty cache bounded to capacity entries (minimum 1) with
@@ -124,23 +131,18 @@ func NewWith[V any](tm *core.TM, capacity int, opts Options) *Cache[V] {
 	if capacity < 1 {
 		capacity = 1
 	}
-	ns := opts.Stripes
-	if ns <= 0 {
-		ns = runtime.GOMAXPROCS(0) * 2
-		if ns > 16 {
-			ns = 16
-		}
+	ns, minSlots := ceilPow2(opts.Stripes), 1 // every stripe must own at least one slot
+	if opts.Stripes <= 0 {
+		ns, minSlots = maxDefaultStripes, minStripeSlots
 	}
-	ns = ceilPow2(ns)
-	for ns > capacity {
-		ns >>= 1 // every stripe must own at least one slot
+	for ns > 1 && capacity/ns < minSlots {
+		ns >>= 1
 	}
 	c := &Cache[V]{
 		tm:       tm,
 		capacity: capacity,
 		stripes:  make([]*stripe[V], ns),
 		sshift:   64 - log2(uint(ns)),
-		relink:   opts.RelinkOnHit,
 	}
 	base, rem := capacity/ns, capacity%ns
 	for i := range c.stripes {
@@ -244,30 +246,12 @@ func (s *stripe[V]) touchTx(tx *core.Tx, e *entry[V]) {
 	}
 }
 
-// useTx records a use under the configured recency discipline: the
-// second-chance bit by default, or — in the RelinkOnHit baseline — the
-// strict-LRU relink to the MRU position, which writes the stripe's
-// shared head cell on every non-head hit (the contention the default
-// path exists to avoid).
-func (c *Cache[V]) useTx(tx *core.Tx, s *stripe[V], e *entry[V]) {
-	if c.relink {
-		if s.head.Load(tx) != e {
-			s.unlinkTx(tx, e)
-			s.pushFrontTx(tx, e)
-		}
-		return
-	}
-	s.touchTx(tx, e)
-}
-
 // GetTx returns the cached value and records the use for the
 // second-chance eviction sweep (it does NOT relink the entry — recency
 // is corrected lazily, at eviction time). A hit on an untouched entry
 // writes that entry's private bit; a hit on an already-touched entry is
-// read-only. (Under the RelinkOnHit baseline the hit relinks to MRU
-// instead, writing the stripe's shared head cell.) Use PeekTx for a
-// probe that leaves recency state alone. Hit/miss stats accrue at
-// commit on the key's stripe.
+// read-only. Use PeekTx for a probe that leaves recency state alone.
+// Hit/miss stats accrue at commit on the key's stripe.
 func (c *Cache[V]) GetTx(tx *core.Tx, key int) (V, bool) {
 	c.owns(tx)
 	s := c.stripeFor(key)
@@ -278,7 +262,7 @@ func (c *Cache[V]) GetTx(tx *core.Tx, key int) (V, bool) {
 		return zero, false
 	}
 	s.hits.AddTx(tx, 1)
-	c.useTx(tx, s, e)
+	s.touchTx(tx, e)
 	return e.val.Load(tx), true
 }
 
@@ -308,7 +292,7 @@ func (c *Cache[V]) PutTx(tx *core.Tx, key int, val V) bool {
 	s := c.stripeFor(key)
 	if e := s.lookupTx(tx, key); e != nil {
 		e.val.Store(tx, val)
-		c.useTx(tx, s, e)
+		s.touchTx(tx, e)
 		return false
 	}
 	if n := s.size.Load(tx); n >= s.capacity {

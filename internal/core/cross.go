@@ -109,9 +109,9 @@ func (x *CrossTx) Prepared() bool { return x.state == crossPrepared }
 // participants prepared by different coordinators cannot deadlock — and
 // validates that every read still holds its recorded version. On success
 // the participant holds all locks until Commit or Abort. On failure the
-// sub-transaction is fully aborted (locks released unchanged, abort hooks
-// run, handle recycled) and Prepare returns false; the coordinator aborts
-// its siblings and retries.
+// sub-transaction is fully aborted (locks released unchanged, deltas
+// dropped, abort hooks run, handle recycled) and Prepare returns false; the
+// coordinator aborts its siblings and retries.
 func (x *CrossTx) Prepare() bool {
 	if x.state != crossActive {
 		panic("core: Prepare on a finished cross sub-transaction")
@@ -273,7 +273,8 @@ func (x *CrossTx) DrawVersion() uint64 {
 
 // Commit applies the coordinator's commit decision: installs the write set
 // at the drawn write version, releases read locks with their cells
-// unchanged, runs Defer commit hooks and the TM's durable-ack barrier.
+// unchanged, applies the commit-time deltas, runs Defer commit hooks and
+// the TM's durable-ack barrier.
 // It deliberately does NOT honour contention-manager kills — a prepared
 // participant's fate belongs to the coordinator alone. The returned error
 // is the durable-ack verdict (the memory effect stands regardless), nil
@@ -322,8 +323,8 @@ func (x *CrossTx) Commit() error {
 }
 
 // Abort applies the coordinator's abort decision (or abandons an active
-// sub-transaction): every lock is released with its cell unchanged and the
-// Defer abort hooks run. Idempotent.
+// sub-transaction): every lock is released with its cell unchanged, the
+// commit-time deltas are dropped and the Defer abort hooks run. Idempotent.
 func (x *CrossTx) Abort() {
 	if x.state == crossDone {
 		return

@@ -207,9 +207,10 @@ func (tx *Tx) runBranch(fn func(*Tx) error) (retried bool, err error) {
 }
 
 // rollbackBranch discards the current attempt's reads and writes (OrElse
-// branches start from a clean slate, so a full reset is exact), running
-// any compensations the branch deferred. The recorder is told so history
-// analysis drops the abandoned accesses.
+// branches start from a clean slate, so a full reset is exact), dropping
+// the branch's commit-time deltas and running any compensations it
+// deferred. The recorder is told so history analysis drops the abandoned
+// accesses.
 func (tx *Tx) rollbackBranch() {
 	tx.runAbortHooks()
 	tx.reads = tx.reads[:0]

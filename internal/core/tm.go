@@ -332,10 +332,10 @@ const maxPooledWrites = 512
 // heuristically stale but race-free view (at worst a spurious cooperative
 // kill of the next transaction using the handle, which simply retries).
 //
-// Value- and closure-bearing state (buffered writes, Defer hooks, the
-// released set) is cleared so an idle pooled handle does not pin user
-// values or captured scopes: in the zero-allocation steady state GC runs
-// rarely, so the pool drains slowly. The read/window sets are deliberately
+// Value- and closure-bearing state (buffered writes, Defer hooks, the delta
+// log, the released set) is cleared so an idle pooled handle does not pin
+// user values, counters or captured scopes: in the zero-allocation steady
+// state GC runs rarely, so the pool drains slowly. The read/window sets are deliberately
 // NOT cleared — they hold only cell pointers, and zeroing a traversal-
 // sized read set would memclr hundreds of kilobytes per transaction — so
 // an idle handle can transitively pin up to maxPooledEntries cells (and
@@ -353,6 +353,7 @@ func (tm *TM) putTx(tx *Tx) {
 	tx.windex.release()
 	tx.onCommit = trimClear(tx.onCommit)
 	tx.onAbort = trimClear(tx.onAbort)
+	tx.deltas = trimClear(tx.deltas)
 	// The released map keeps its bucket array across clear(); drop an
 	// early-release-heavy transaction's map entirely so a pooled handle
 	// stays within the same bounded-retention policy as the slices.

@@ -98,9 +98,11 @@ type Tx struct {
 	cuts      int
 	rnd       uint64 // xorshift state for backoff jitter
 	// Deferred side-effect hooks for the current attempt (transactional
-	// boosting, escrow counters): see Tx.Defer.
+	// boosting, write-ahead logging): see Tx.Defer.
 	onCommit []func()
 	onAbort  []func()
+	// deltas is the attempt's commit-time delta log: see Tx.AddOnCommit.
+	deltas []counterDelta
 	// workLocal counts reads+writes of the current attempt; it is
 	// flushed into the atomic work counter every flushEvery steps (and at
 	// arbitration points) so contention managers see a close-enough
@@ -244,6 +246,7 @@ func (tx *Tx) beginAttempt() {
 	}
 	tx.onCommit = tx.onCommit[:0]
 	tx.onAbort = tx.onAbort[:0]
+	tx.deltas = tx.deltas[:0]
 	var now uint64
 	switch {
 	case tx.pinned:
@@ -386,10 +389,11 @@ func compactOut(entries []readEntry, c *cell) []readEntry {
 // commits and reverse order for aborts (like compensations).
 //
 // This is the integration point for open-nesting-style extensions
-// (transactional boosting, escrow counters — the relaxations of the
-// paper's section 4.1 and references [24,25,26,39]): an operation applies
-// its effect eagerly on a concurrent object, takes an abstract lock, and
-// defers the inverse operation as the abort hook.
+// (transactional boosting — the relaxation of the paper's section 4.1 and
+// reference [39]): an operation applies its effect eagerly on a concurrent
+// object, takes an abstract lock, and defers the inverse operation as the
+// abort hook. An effect that is only "add to a counter" needs no closure:
+// see AddOnCommit.
 func (tx *Tx) Defer(onCommit, onAbort func()) {
 	tx.checkUsable()
 	if onCommit != nil {
@@ -398,6 +402,47 @@ func (tx *Tx) Defer(onCommit, onAbort func()) {
 	if onAbort != nil {
 		tx.onAbort = append(tx.onAbort, onAbort)
 	}
+}
+
+// counterDelta is one entry of the commit-time delta log: delta is added to
+// *c if the attempt commits.
+type counterDelta struct {
+	c     *atomic.Int64
+	delta int64
+}
+
+// AddOnCommit adds delta to *c if, and only if, the current attempt
+// commits — the escrow method of the paper's [25, 26] as a primitive of the
+// handle. The pending delta lives in the transaction, not in shared
+// memory: adders never conflict, an aborted attempt (conflict, kill, user
+// error, blocking Retry, an abandoned OrElse branch, a cross-shard abort)
+// leaves no trace, and a commit applies each touched counter with one
+// atomic add, before the Defer commit hooks and the durable-ack barrier.
+// Deltas are no writes: a transaction that only bumps counters still
+// commits read-only. Repeated adds to one counter merge by linear scan —
+// a transaction touches a handful of counters — and the log recycles with
+// the pooled handle, so a warm add allocates nothing.
+func (tx *Tx) AddOnCommit(c *atomic.Int64, delta int64) {
+	tx.checkUsable()
+	for i := range tx.deltas {
+		if tx.deltas[i].c == c {
+			tx.deltas[i].delta += delta
+			return
+		}
+	}
+	tx.deltas = append(tx.deltas, counterDelta{c, delta})
+}
+
+// PendingOnCommit returns the delta the current attempt has accumulated
+// for c through AddOnCommit, so a transaction can read its own counter
+// updates.
+func (tx *Tx) PendingOnCommit(c *atomic.Int64) int64 {
+	for i := range tx.deltas {
+		if tx.deltas[i].c == c {
+			return tx.deltas[i].delta
+		}
+	}
+	return 0
 }
 
 // CommitVersion returns the global version at which the transaction's
@@ -410,8 +455,14 @@ func (tx *Tx) Defer(onCommit, onAbort func()) {
 // recorder would report for the same commit.
 func (tx *Tx) CommitVersion() uint64 { return tx.commitVer }
 
-// runCommitHooks fires deferred commit actions in registration order.
+// runCommitHooks applies the delta log, then fires deferred commit actions
+// in registration order. Both commit paths (Atomically, CrossTx.Commit) end
+// here, exactly once per committed transaction.
 func (tx *Tx) runCommitHooks() {
+	for _, d := range tx.deltas {
+		d.c.Add(d.delta)
+	}
+	tx.deltas = tx.deltas[:0]
 	for _, fn := range tx.onCommit {
 		fn()
 	}
@@ -419,9 +470,11 @@ func (tx *Tx) runCommitHooks() {
 	tx.onAbort = tx.onAbort[:0]
 }
 
-// runAbortHooks fires deferred compensations in reverse registration
-// order.
+// runAbortHooks drops the delta log and fires deferred compensations in
+// reverse registration order. Every way an attempt (or an OrElse branch)
+// ends without committing passes through here.
 func (tx *Tx) runAbortHooks() {
+	tx.deltas = tx.deltas[:0]
 	for i := len(tx.onAbort) - 1; i >= 0; i-- {
 		tx.onAbort[i]()
 	}

@@ -9,11 +9,12 @@ import (
 
 // CounterOf is a partition-wide counter: one boost.EscrowCounter per
 // shard, folded on read. Increments route round-robin across shards, so
-// concurrent adders conflict on nothing at all — not even an escrow
-// counter's pending map — unless they land on the same shard in the same
-// instant. Inside a cross-shard transaction the escrow rides whichever
-// sub-transaction the caller already opened: EscrowCounter's Defer hooks
-// fire with the coordinator's decision, which is exactly the open-nested
+// concurrent adders share nothing but the final atomic add of a commit,
+// and that only when they land on the same shard (each leg sits on its
+// own cache line). Inside a cross-shard transaction the escrow rides
+// whichever sub-transaction the caller already opened: the pending delta
+// lives in that sub-transaction's commit-time delta log and lands, or is
+// dropped, with the coordinator's decision — exactly the open-nested
 // escape hatch the cross-shard path needs for high-rate counters.
 type CounterOf struct {
 	p    *Partition

@@ -17,10 +17,11 @@ import (
 // probes folding all stripes, over a key range twice the capacity so
 // eviction runs continuously in every stripe.
 //
-// The workload pins the stripe count at 4 (not the GOMAXPROCS-dependent
-// default) so a storm's shape — which keys share a stripe, where
-// eviction pressure lands — is a pure function of the config, and the
-// shrinker's replay rebuilds the identical cache.
+// The workload pins the stripe count at 4 (the default would give these
+// small capacities one stripe) so every storm exercises cross-stripe
+// behaviour; a storm's shape — which keys share a stripe, where eviction
+// pressure lands — is a pure function of the config, and the shrinker's
+// replay rebuilds the identical cache.
 //
 // Checking is hit-rate + invariants, in three layers:
 //
