@@ -1,9 +1,10 @@
 package repro_test
 
 // Benchmark harness: one testing.B target per figure of the paper plus
-// the ablations called out in DESIGN.md. These give ns/op views of the
-// same workloads that cmd/collectionbench sweeps for the full figures;
-// EXPERIMENTS.md records both alongside the paper's numbers.
+// the design-choice ablations (contention manager, version depth, elastic
+// window, early release, read extension). cmd/collectionbench sweeps the
+// full figures; this file gives ns/op views of the same workloads and is
+// the only harness for the ablations.
 
 import (
 	"sync/atomic"
@@ -201,6 +202,7 @@ func BenchmarkAblationContentionManager(b *testing.B) {
 					}
 				}
 			})
+			b.ReportMetric(100*tm.Stats().AbortRate(), "abort-%")
 		})
 	}
 }
@@ -229,14 +231,19 @@ func BenchmarkAblationVersionDepth(b *testing.B) {
 func BenchmarkAblationElasticWindow(b *testing.B) {
 	// Window sizes beyond 2 buy nothing on list parses but cost validation
 	// work; window 1 is excluded (documented as unsafe for remove).
-	for _, ws := range []int{2, 3, 4} {
+	for _, ws := range []int{2, 3, 4, 8} {
 		ws := ws
-		b.Run(map[int]string{2: "w2", 3: "w3", 4: "w4"}[ws], func(b *testing.B) {
+		b.Run(map[int]string{2: "w2", 3: "w3", 4: "w4", 8: "w8"}[ws], func(b *testing.B) {
 			f := bench.STMListFactoryWith("win", txstruct.ListConfig{
 				Parse: core.Elastic, Size: core.Snapshot,
 			}, core.WithElasticWindow(ws))
-			set, _ := factoryBuild(f)
+			set, stats := factoryBuild(f)
 			runCollectionMix(b, set, 10, 10)
+			// The counters include the single-threaded prefill: no aborts,
+			// and its cuts vanish against b.N at the default benchtime.
+			st := stats()
+			b.ReportMetric(100*st.AbortRate(), "abort-%")
+			b.ReportMetric(float64(st.Cuts)/float64(b.N), "cuts/op")
 		})
 	}
 }

@@ -28,4 +28,12 @@ func TestRunSmallFigure(t *testing.T) {
 	if err := run([]string{"-fig", "nope"}); err == nil {
 		t.Fatal("bad figure accepted")
 	}
+	// The side-sweeps live in benchmark/ now; their flags are gone.
+	for _, removed := range [][]string{
+		{"-cache"}, {"-readpath"}, {"-shards"}, {"-typed=false"}, {"-procs", "1"}, {"-fig", "none"},
+	} {
+		if err := run(append(removed, "-soak=false", "-dur", "1ms", "-threads", "1", "-size", "16")); err == nil {
+			t.Errorf("removed option %v accepted", removed)
+		}
+	}
 }

@@ -7,7 +7,6 @@ package bench
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,11 +35,6 @@ type Workload struct {
 	Threads int
 	// Seed randomizes operation choice; 0 selects a fixed default.
 	Seed uint64
-	// ZipfS skews key selection with a Zipf(s, 1) distribution over the
-	// key range when > 1; 0 keeps the uniform paper workload. Skewed
-	// keys concentrate traffic on hot spots — the aggregate-field
-	// contention that motivates escrow-style relaxations.
-	ZipfS float64
 }
 
 // paper parameters for the Collection figures.
@@ -98,12 +92,6 @@ type Result struct {
 	TxCommits  uint64
 	TxAborts   uint64
 	TxAttempts uint64
-	TxCuts     uint64
-	TxOldReads uint64
-	TxKills    uint64
-
-	// HitRate is the cache sweep's hit fraction (0 for non-cache points).
-	HitRate float64
 }
 
 // AbortRate returns aborts per attempt in the measured window.
@@ -142,8 +130,7 @@ func (f Factory) build() (intset.Set, StatsFn) {
 }
 
 // Xorshift is a tiny per-worker PRNG; workers must not share math/rand
-// state (lock contention would dominate the measurement). Exported so
-// custom sweeps built on MeasureOps draw from the same generator.
+// state (lock contention would dominate the measurement).
 type Xorshift uint64
 
 // Next advances the generator and returns the raw 64-bit state.
@@ -178,61 +165,10 @@ func Prefill(s intset.Set, w Workload) error {
 	return nil
 }
 
-// MeasureOps is the duration-based measurement skeleton shared by the
-// figure runner (Run) and custom sweeps (the LRU cache bench in
-// cmd/collectionbench): start-gated workers loop an op closure until the
-// stop flag, with padded per-worker counters, and the aggregate lands in
-// a Result with throughput computed over the true elapsed window. mkOp is
-// called once per worker (before the start gate) and returns the op body;
-// per-worker state (a Zipf source, class counters) lives in that closure.
-// Worker PRNGs are seeded exactly as the figure runner always seeded
-// them, so refactoring onto this helper changed no measured sequence.
-func MeasureOps(impl string, threads int, dur time.Duration, seed uint64, mkOp func(worker int) func(rng *Xorshift) error) Result {
-	type workerCounts struct {
-		ops, errs uint64
-		_         [48]byte
-	}
-	counts := make([]workerCounts, threads)
-	var (
-		stop  atomic.Bool
-		start = make(chan struct{})
-		wg    sync.WaitGroup
-	)
-	for t := 0; t < threads; t++ {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			rng := Xorshift(seed + uint64(t)*0x9e3779b97f4a7c15 + 1)
-			op := mkOp(t)
-			c := &counts[t]
-			<-start
-			for !stop.Load() {
-				if err := op(&rng); err != nil {
-					c.errs++
-				}
-				c.ops++
-			}
-		}(t)
-	}
-	began := time.Now()
-	close(start)
-	time.Sleep(dur)
-	stop.Store(true)
-	wg.Wait()
-	elapsed := time.Since(began)
-
-	res := Result{Impl: impl, Threads: threads, Elapsed: elapsed}
-	for i := range counts {
-		res.Ops += counts[i].ops
-		res.Errors += counts[i].errs
-	}
-	res.Throughput = float64(res.Ops) / elapsed.Seconds()
-	return res
-}
-
 // Run measures one (implementation, workload) point: it prefils the set,
 // starts w.Threads workers issuing the operation mix for w.Duration, and
-// returns the aggregate counts.
+// returns the aggregate counts, with throughput computed over the true
+// elapsed window.
 func Run(f Factory, w Workload) (Result, error) {
 	w.fill()
 	set, statsFn := f.build()
@@ -244,58 +180,69 @@ func Run(f Factory, w Workload) (Result, error) {
 		before = statsFn() // exclude prefill from the measured counters
 	}
 
-	type classCounts struct {
-		contains, adds, removes, sizes uint64
-		_                              [32]byte
+	type workerCounts struct {
+		contains, adds, removes, sizes, errs uint64
+		_                                    [24]byte
 	}
-	classes := make([]classCounts, w.Threads)
-	res := MeasureOps(f.Name, w.Threads, w.Duration, w.Seed, func(t int) func(*Xorshift) error {
-		var zipf *rand.Zipf
-		if w.ZipfS > 1 {
-			src := rand.New(rand.NewSource(int64(w.Seed) + int64(t)))
-			zipf = rand.NewZipf(src, w.ZipfS, 1, uint64(w.KeyRange-1))
-		}
-		c := &classes[t]
-		return func(rng *Xorshift) error {
-			op := rng.Intn(100)
-			var v int
-			if zipf != nil {
-				v = int(zipf.Uint64())
-			} else {
-				v = rng.Intn(w.KeyRange)
+	counts := make([]workerCounts, w.Threads)
+	var (
+		stop  atomic.Bool
+		start = make(chan struct{})
+		wg    sync.WaitGroup
+	)
+	for t := 0; t < w.Threads; t++ {
+		wg.Add(1)
+		go func(t int) {
+			defer wg.Done()
+			rng := Xorshift(w.Seed + uint64(t)*0x9e3779b97f4a7c15 + 1)
+			c := &counts[t]
+			<-start
+			for !stop.Load() {
+				op := rng.Intn(100)
+				v := rng.Intn(w.KeyRange)
+				var err error
+				switch {
+				case op < w.SizePct:
+					_, err = set.Size()
+					c.sizes++
+				case op < w.SizePct+w.UpdatePct/2:
+					_, err = set.Add(v)
+					c.adds++
+				case op < w.SizePct+w.UpdatePct:
+					_, err = set.Remove(v)
+					c.removes++
+				default:
+					_, err = set.Contains(v)
+					c.contains++
+				}
+				if err != nil {
+					c.errs++
+				}
 			}
-			var err error
-			switch {
-			case op < w.SizePct:
-				_, err = set.Size()
-				c.sizes++
-			case op < w.SizePct+w.UpdatePct/2:
-				_, err = set.Add(v)
-				c.adds++
-			case op < w.SizePct+w.UpdatePct:
-				_, err = set.Remove(v)
-				c.removes++
-			default:
-				_, err = set.Contains(v)
-				c.contains++
-			}
-			return err
-		}
-	})
-	for i := range classes {
-		res.Contains += classes[i].contains
-		res.Adds += classes[i].adds
-		res.Removes += classes[i].removes
-		res.Sizes += classes[i].sizes
+		}(t)
 	}
+	began := time.Now()
+	close(start)
+	time.Sleep(w.Duration)
+	stop.Store(true)
+	wg.Wait()
+	elapsed := time.Since(began)
+
+	res := Result{Impl: f.Name, Threads: w.Threads, Elapsed: elapsed}
+	for i := range counts {
+		res.Contains += counts[i].contains
+		res.Adds += counts[i].adds
+		res.Removes += counts[i].removes
+		res.Sizes += counts[i].sizes
+		res.Errors += counts[i].errs
+	}
+	res.Ops = res.Contains + res.Adds + res.Removes + res.Sizes
+	res.Throughput = float64(res.Ops) / elapsed.Seconds()
 	if statsFn != nil {
 		after := statsFn()
 		res.TxCommits = after.Commits - before.Commits
 		res.TxAborts = after.TotalAborts() - before.TotalAborts()
 		res.TxAttempts = after.Attempts - before.Attempts
-		res.TxCuts = after.Cuts - before.Cuts
-		res.TxOldReads = after.SnapshotOldReads - before.SnapshotOldReads
-		res.TxKills = after.Kills - before.Kills
 	}
 	return res, nil
 }
@@ -303,9 +250,6 @@ func Run(f Factory, w Workload) (Result, error) {
 // Series is one implementation's speedup-over-sequential curve.
 type Series struct {
 	Impl     string
-	Shards   int // partitioned-store sweeps: shard count behind this curve (0 = unsharded)
-	CrossPct int // partitioned-store sweeps: % of operations that were cross-shard
-	Stripes  int // cache sweeps: stripe count behind this curve (0 = not a stripe sweep)
 	Threads  []int
 	Speedups []float64
 	Raw      []Result

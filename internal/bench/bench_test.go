@@ -1,6 +1,11 @@
 package bench
 
 import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -19,7 +24,7 @@ func tinyWorkload(threads int) Workload {
 func TestPrefillReachesInitialSize(t *testing.T) {
 	for _, f := range []Factory{
 		SequentialFactory(), ClassicSTMFactory(), ElasticMixedFactory(),
-		SnapshotMixedFactory(), COWFactory(), CoarseFactory(),
+		SnapshotMixedFactory(), COWFactory(),
 	} {
 		s, _ := f.build()
 		w := tinyWorkload(1)
@@ -91,7 +96,7 @@ func TestSweepNormalizes(t *testing.T) {
 func TestRunFigureRenders(t *testing.T) {
 	var sb strings.Builder
 	fig := Figure9(tinyWorkload(0), []int{1, 2})
-	series, err := RunFigure(&sb, fig)
+	series, _, err := RunFigure(&sb, fig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,31 +109,6 @@ func TestRunFigureRenders(t *testing.T) {
 			t.Fatalf("rendered figure missing %q:\n%s", want, out)
 		}
 	}
-}
-
-func TestZipfSkewConcentratesTraffic(t *testing.T) {
-	// With a strong skew, update conflicts rise: the abort rate under
-	// skew should be at least that of the uniform run (usually well
-	// above). Assert weakly to stay robust on a small host.
-	uniform := tinyWorkload(4)
-	uniform.UpdatePct = 40
-	uniform.SizePct = 0
-	skewed := uniform
-	skewed.ZipfS = 2.5
-
-	ru, err := Run(ClassicSTMFactory(), uniform)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := Run(ClassicSTMFactory(), skewed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.Ops == 0 || ru.Ops == 0 {
-		t.Fatal("no operations ran")
-	}
-	t.Logf("uniform aborts %.2f%%, skewed aborts %.2f%%",
-		100*ru.AbortRate(), 100*rs.AbortRate())
 }
 
 func TestWorkloadDefaults(t *testing.T) {
@@ -152,5 +132,64 @@ func TestFigureConstructors(t *testing.T) {
 	}
 	if len(Figure9(w, DefaultThreads()).Impls) != 3 {
 		t.Fatal("figure 9 should have 3 systems")
+	}
+}
+
+// encodeTrajectory re-encodes a trajectory exactly as AppendJSONRun does.
+func encodeTrajectory(t *testing.T, file *JSONFile) []byte {
+	t.Helper()
+	out, err := json.MarshalIndent(file, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(out, '\n')
+}
+
+// The committed trajectory is frozen history recorded partly by sweeps
+// that no longer exist; AppendJSONRun round-trips the whole file through
+// the JSON structs, so a dropped field tag would strip old runs on the
+// next -json append. Decoding and re-encoding must be the identity.
+func TestTrajectoryRoundTripsAndAppends(t *testing.T) {
+	orig, err := os.ReadFile("../../BENCH_collection.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file JSONFile
+	if err := json.Unmarshal(orig, &file); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encodeTrajectory(t, &file), orig) {
+		t.Fatal("BENCH_collection.json does not survive a decode/encode round trip")
+	}
+	recorded := len(file.Runs)
+
+	path := filepath.Join(t.TempDir(), "traj.json")
+	if err := os.WriteFile(path, orig, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fig := Figure5(tinyWorkload(0), []int{1})
+	series, seq, err := RunFigure(io.Discard, fig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := NewJSONRun("collectionbench", "appended", "gv1", fig.Workload)
+	run.AddFigure(fig.Name, series, seq)
+	if err := AppendJSONRun(path, run); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var grown JSONFile
+	if err := json.Unmarshal(data, &grown); err != nil {
+		t.Fatal(err)
+	}
+	if len(grown.Runs) != recorded+1 || grown.Runs[recorded].Label != "appended" {
+		t.Fatalf("appended trajectory has %d runs, last %q", len(grown.Runs), grown.Runs[len(grown.Runs)-1].Label)
+	}
+	grown.Runs = grown.Runs[:recorded]
+	if !bytes.Equal(encodeTrajectory(t, &grown), orig) {
+		t.Fatal("AppendJSONRun changed a recorded run")
 	}
 }

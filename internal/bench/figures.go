@@ -61,8 +61,8 @@ func SnapshotMixedFactory(opts ...core.Option) Factory {
 	}, opts...)
 }
 
-// STMListFactoryWith exposes stmListFactory for ablations (contention
-// manager sweeps, version-depth and window-size experiments).
+// STMListFactoryWith exposes stmListFactory for the ablations in the root
+// bench_test.go (version-depth, window-size and read-extension sweeps).
 func STMListFactoryWith(name string, cfg txstruct.ListConfig, opts ...core.Option) Factory {
 	return stmListFactory(name, cfg, opts...)
 }
@@ -73,15 +73,6 @@ func COWFactory() Factory {
 	return Factory{
 		Name:               "collection(cow)",
 		New:                func() intset.Set { return baseline.NewCOWSet() },
-		SupportsAtomicSize: true,
-	}
-}
-
-// CoarseFactory is the single-global-lock comparator.
-func CoarseFactory() Factory {
-	return Factory{
-		Name:               "coarse-lock",
-		New:                func() intset.Set { return baseline.NewCoarseList() },
 		SupportsAtomicSize: true,
 	}
 }
@@ -123,28 +114,6 @@ func HashSetFactory(name string, buckets int, cfg txstruct.ListConfig, opts ...c
 	}
 }
 
-// SkipListFactory is the transactional skip list (classic parses,
-// configurable size semantics).
-func SkipListFactory(name string, sizeSem core.Semantics, opts ...core.Option) Factory {
-	return Factory{
-		Name: name,
-		NewInstrumented: func() (intset.Set, StatsFn) {
-			tm := core.New(opts...)
-			return txstruct.NewSkipList(tm, sizeSem), tm.Stats
-		},
-		SupportsAtomicSize: true,
-	}
-}
-
-// StripedFactory is the lock-striped hash set (weakly consistent size;
-// parse workloads only).
-func StripedFactory() Factory {
-	return Factory{
-		Name: "striped-hash",
-		New:  func() intset.Set { return baseline.NewStripedHashSet(64) },
-	}
-}
-
 // Figure describes one of the paper's throughput figures.
 type Figure struct {
 	Name     string
@@ -152,10 +121,6 @@ type Figure struct {
 	Impls    []Factory
 	Workload Workload
 	Threads  []int
-	// stmOpts remembers the TM options the figure's transactional
-	// factories were built with, so BoxedVariant can rebuild their
-	// untyped twins under identical configuration.
-	stmOpts []core.Option
 }
 
 // DefaultThreads is the paper's sweep (1..64 hardware threads on the
@@ -172,7 +137,6 @@ func Figure5(w Workload, threads []int, opts ...core.Option) Figure {
 		Impls:    []Factory{ClassicSTMFactory(opts...), COWFactory()},
 		Workload: w,
 		Threads:  threads,
-		stmOpts:  opts,
 	}
 }
 
@@ -185,7 +149,6 @@ func Figure7(w Workload, threads []int, opts ...core.Option) Figure {
 		Impls:    []Factory{ElasticMixedFactory(opts...), ClassicSTMFactory(opts...), COWFactory()},
 		Workload: w,
 		Threads:  threads,
-		stmOpts:  opts,
 	}
 }
 
@@ -198,19 +161,12 @@ func Figure9(w Workload, threads []int, opts ...core.Option) Figure {
 		Impls:    []Factory{SnapshotMixedFactory(opts...), ClassicSTMFactory(opts...), COWFactory()},
 		Workload: w,
 		Threads:  threads,
-		stmOpts:  opts,
 	}
 }
 
-// RunFigure sweeps the figure's implementations and renders the series.
-func RunFigure(w io.Writer, fig Figure) ([]Series, error) {
-	series, _, err := RunFigureFull(w, fig)
-	return series, err
-}
-
-// RunFigureFull is RunFigure exposing the sequential denominator too, for
-// callers that also record the run in the JSON trajectory.
-func RunFigureFull(w io.Writer, fig Figure) ([]Series, Result, error) {
+// RunFigure sweeps the figure's implementations and renders the series;
+// the sequential denominator is returned too, for the JSON trajectory.
+func RunFigure(w io.Writer, fig Figure) ([]Series, Result, error) {
 	series, seqRes, err := Sweep(SequentialFactory(), fig.Impls, fig.Threads, fig.Workload)
 	if err != nil {
 		return nil, Result{}, err

@@ -26,14 +26,14 @@ type JSONPoint struct {
 	TxAborts   uint64  `json:"tx_aborts,omitempty"`
 	TxAttempts uint64  `json:"tx_attempts,omitempty"`
 	AbortRate  float64 `json:"abort_rate,omitempty"`
-	HitRate    float64 `json:"hit_rate,omitempty"` // cache-sweep points only
+	HitRate    float64 `json:"hit_rate,omitempty"` // recorded cache-sweep points only
 }
 
-// JSONSeries is one implementation's curve within a figure. Shards and
-// CrossPct are set by the partitioned-store sweeps, Stripes by the cache
-// stripe sweeps, so a trajectory consumer can tell a 4-shard
-// disjoint-key curve (or an 8-stripe cache curve) from its neighbours
-// without parsing the Impl label.
+// JSONSeries is one implementation's curve within a figure. Shards,
+// CrossPct and Stripes (and JSONPoint.HitRate) are written by no sweep
+// that still exists; they stay because AppendJSONRun round-trips the
+// whole trajectory through these structs, and the recorded runs of the
+// partitioned-store and cache sweeps carry them.
 type JSONSeries struct {
 	Impl     string      `json:"impl"`
 	Shards   int         `json:"shards,omitempty"`
@@ -132,7 +132,7 @@ func NewJSONRun(benchName, label, scheme string, w Workload) *JSONRun {
 func (r *JSONRun) AddFigure(name string, series []Series, seq Result) {
 	jf := JSONFigure{Name: name, SeqOpsPerSec: seq.Throughput}
 	for _, s := range series {
-		js := JSONSeries{Impl: s.Impl, Shards: s.Shards, CrossPct: s.CrossPct, Stripes: s.Stripes}
+		js := JSONSeries{Impl: s.Impl}
 		for i, raw := range s.Raw {
 			js.Points = append(js.Points, JSONPoint{
 				Threads:    raw.Threads,
@@ -143,42 +143,11 @@ func (r *JSONRun) AddFigure(name string, series []Series, seq Result) {
 				TxAborts:   raw.TxAborts,
 				TxAttempts: raw.TxAttempts,
 				AbortRate:  raw.AbortRate(),
-				HitRate:    raw.HitRate,
 			})
 		}
 		jf.Series = append(jf.Series, js)
 	}
 	r.Figures = append(r.Figures, jf)
-}
-
-// AddPoint appends a single measured point as a one-point series under the
-// named figure, creating the figure on first use — the shape the ablation
-// sweeps record, where each configuration is one measurement.
-func (r *JSONRun) AddPoint(figure, impl string, res Result) {
-	var jf *JSONFigure
-	for i := range r.Figures {
-		if r.Figures[i].Name == figure {
-			jf = &r.Figures[i]
-			break
-		}
-	}
-	if jf == nil {
-		r.Figures = append(r.Figures, JSONFigure{Name: figure})
-		jf = &r.Figures[len(r.Figures)-1]
-	}
-	jf.Series = append(jf.Series, JSONSeries{
-		Impl: impl,
-		Points: []JSONPoint{{
-			Threads:    res.Threads,
-			Ops:        res.Ops,
-			OpsPerSec:  res.Throughput,
-			TxCommits:  res.TxCommits,
-			TxAborts:   res.TxAborts,
-			TxAttempts: res.TxAttempts,
-			AbortRate:  res.AbortRate(),
-			HitRate:    res.HitRate,
-		}},
-	})
 }
 
 // AppendJSONRun loads the trajectory at path (an absent file is an empty

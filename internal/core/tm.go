@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/clock"
 )
@@ -33,8 +32,6 @@ type TM struct {
 	maxRetries   int
 	spinBudget   int
 	extendReads  bool
-	backoffBase  time.Duration
-	backoffMax   time.Duration
 	durableAck   func(tx *Tx) error
 
 	stats      counters
@@ -202,17 +199,6 @@ func WithDurableAck(ack func(tx *Tx) error) Option {
 // concurrently.
 func (tm *TM) SetDurableAck(ack func(tx *Tx) error) { tm.durableAck = ack }
 
-// WithBackoff sets the randomized exponential backoff window applied
-// between retries of an aborted transaction.
-func WithBackoff(base, maxWait time.Duration) Option {
-	return func(tm *TM) {
-		if base > 0 && maxWait >= base {
-			tm.backoffBase = base
-			tm.backoffMax = maxWait
-		}
-	}
-}
-
 // New builds a transactional memory runtime.
 func New(opts ...Option) *TM {
 	tm := &TM{
@@ -221,8 +207,6 @@ func New(opts ...Option) *TM {
 		keepVersions: defaultKeepVersions,
 		windowSize:   defaultWindowSize,
 		spinBudget:   defaultSpinBudget,
-		backoffBase:  500 * time.Nanosecond,
-		backoffMax:   100 * time.Microsecond,
 	}
 	tm.pins.init()
 	for _, opt := range opts {

@@ -493,23 +493,27 @@ func (tx *Tx) record(ev Event) {
 // goroutine whose P goes idle is woken by the netpoller, whose timeout has
 // millisecond resolution: time.Sleep(500ns) was measured at 330 µs and
 // time.Sleep(50µs) at 1.15 ms, which turned every conflict under the
-// default 0.5–100 µs windows into a millisecond stall.
+// 0.5–100 µs backoff windows into a millisecond stall.
 const timerFloor = time.Millisecond
 
+// The retry backoff window: backoffBase doubled per attempt, capped at
+// backoffMax.
+const (
+	backoffBase = 500 * time.Nanosecond
+	backoffMax  = 100 * time.Microsecond
+)
+
 // backoffWait waits for a randomized exponentially growing duration
-// between retries, bounded by the TM's backoff window. Waits the timer
+// between retries, bounded by the backoff window. Waits the timer
 // cannot honour yield the processor instead of sleeping (Pause).
 func (tx *Tx) backoffWait() {
 	shift := tx.attempt
 	if shift > 16 {
 		shift = 16
 	}
-	window := tx.tm.backoffBase << uint(shift)
-	if window > tx.tm.backoffMax {
-		window = tx.tm.backoffMax
-	}
-	if window <= 0 {
-		return
+	window := backoffBase << uint(shift)
+	if window > backoffMax {
+		window = backoffMax
 	}
 	// xorshift64 jitter: wait a uniform fraction of the window.
 	tx.rnd ^= tx.rnd << 13

@@ -106,8 +106,8 @@ type WALOptions struct {
 	// SegmentBytes is the segment roll threshold (walsync's default when
 	// zero).
 	SegmentBytes int64
-	// MaxBatch caps records per fsync; 0 drains everything queued. The
-	// collectionbench fsync-batch sweep is a sweep over this knob.
+	// MaxBatch caps records per fsync; 0 drains everything queued. Set
+	// only by tests that need a bounded batch.
 	MaxBatch int
 	// BeforeSync is walsync's crash-injection hook (nil in production).
 	BeforeSync func(records int) bool

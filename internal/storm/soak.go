@@ -6,7 +6,7 @@ import (
 	"repro/internal/core"
 )
 
-// Soak runs the benches' shared pre-sweep correctness storm: quick seeded
+// Soak runs collectionbench's pre-sweep correctness storm: quick seeded
 // mixed-semantics runs over the linked list (the structure family the
 // Collection benchmark measures, now on typed node cells) AND the typed
 // raw-cell workload (value-level checked, including updater reads), with
@@ -15,10 +15,9 @@ import (
 // transaction violated its guarantee — the ROADMAP's "every perf run
 // doubles as a correctness run".
 //
-// One definition keeps collectionbench and ablationbench soaking the same
-// configuration. All reports are returned, in workload order, so callers
-// can account for the full coverage rather than just the last storm; on a
-// violation the offending report is returned with the error.
+// All reports are returned, in workload order, so callers can account for
+// the full coverage rather than just the last storm; on a violation the
+// offending report is returned with the error.
 func Soak(scheme core.ClockScheme) ([]*Report, error) {
 	var reps []*Report
 	for _, workload := range []string{"linkedlist", "typedcells"} {

@@ -116,8 +116,6 @@ var (
 	// WithReadExtension enables LSA-style read-version extension for
 	// classic transactions (default off = plain TL2).
 	WithReadExtension = core.WithReadExtension
-	// WithBackoff sets the randomized retry backoff window.
-	WithBackoff = core.WithBackoff
 	// WithSpinBudget sets pre-arbitration spinning.
 	WithSpinBudget = core.WithSpinBudget
 	// WithClockScheme selects the global-clock commit-versioning scheme
