@@ -60,17 +60,19 @@ const fibMult = 0x9e3779b97f4a7c15
 
 // entry is one cached binding. The key is immutable; the value and every
 // link are typed cells (pointer-shaped payloads: no boxing, and version
-// records recycle), so a warm touch or eviction allocates nothing beyond
-// what it inserts. touched is the CLOCK reference bit: word-shaped, one
+// records recycle), embedded in the entry with their first records, so an
+// entry is one allocation and a touch or eviction allocates only the
+// records a cell takes on its first WithMaxVersions updates, after which
+// its records cycle. touched is the CLOCK reference bit: word-shaped, one
 // cell per entry, written blind by the first hit after insertion or
 // demotion and cleared only by the eviction sweep.
 type entry[V any] struct {
 	key     int
-	val     *core.TypedCell[V]
-	prev    *core.TypedCell[*entry[V]] // toward the MRU end
-	next    *core.TypedCell[*entry[V]] // toward the LRU end
-	hnext   *core.TypedCell[*entry[V]] // hash-bucket chain
-	touched *core.TypedCell[bool]      // second-chance reference bit
+	val     core.TypedCell[V]
+	prev    core.TypedCell[*entry[V]] // toward the MRU end
+	next    core.TypedCell[*entry[V]] // toward the LRU end
+	hnext   core.TypedCell[*entry[V]] // hash-bucket chain
+	touched core.TypedCell[bool]      // second-chance reference bit
 }
 
 // stripe is one independent slice of the cache: its own directory, its
@@ -80,10 +82,10 @@ type entry[V any] struct {
 type stripe[V any] struct {
 	capacity int
 	mask     uint64
-	buckets  []*core.TypedCell[*entry[V]]
-	head     *core.TypedCell[*entry[V]] // most recently used
-	tail     *core.TypedCell[*entry[V]] // least recently used; sweep origin
-	size     *core.TypedCell[int]
+	buckets  []core.TypedCell[*entry[V]]
+	head     core.TypedCell[*entry[V]] // most recently used
+	tail     core.TypedCell[*entry[V]] // least recently used; sweep origin
+	size     core.TypedCell[int]
 
 	hits      *boost.EscrowCounter
 	misses    *boost.EscrowCounter
@@ -154,17 +156,17 @@ func NewWith[V any](tm *core.TM, capacity int, opts Options) *Cache[V] {
 		s := &stripe[V]{
 			capacity:  sc,
 			mask:      uint64(nb - 1),
-			buckets:   make([]*core.TypedCell[*entry[V]], nb),
-			head:      core.NewTypedCell[*entry[V]](tm, nil),
-			tail:      core.NewTypedCell[*entry[V]](tm, nil),
-			size:      core.NewTypedCell(tm, 0),
+			buckets:   make([]core.TypedCell[*entry[V]], nb),
 			hits:      boost.NewEscrowCounter(0),
 			misses:    boost.NewEscrowCounter(0),
 			evictions: boost.NewEscrowCounter(0),
 			demotions: boost.NewEscrowCounter(0),
 		}
+		core.InitTypedCell(tm, &s.head, nil)
+		core.InitTypedCell(tm, &s.tail, nil)
+		core.InitTypedCell(tm, &s.size, 0)
 		for b := range s.buckets {
-			s.buckets[b] = core.NewTypedCell[*entry[V]](tm, nil)
+			core.InitTypedCell(tm, &s.buckets[b], nil)
 		}
 		c.stripes[i] = s
 	}
@@ -221,7 +223,7 @@ func (c *Cache[V]) stripeIndex(key int) int {
 
 // bucket returns the chain head cell for key within the stripe.
 func (s *stripe[V]) bucket(key int) *core.TypedCell[*entry[V]] {
-	return s.buckets[(uint64(key)*fibMult>>32)&s.mask]
+	return &s.buckets[(uint64(key)*fibMult>>32)&s.mask]
 }
 
 // lookupTx walks the key's bucket chain.
@@ -300,17 +302,19 @@ func (c *Cache[V]) PutTx(tx *core.Tx, key int, val V) bool {
 	} else {
 		s.size.Store(tx, n+1)
 	}
+	// The entry is born linked — at the bucket chain's head and the
+	// recency list's MRU end — so the insert stores only to the cells
+	// around it, never to its own.
 	b := s.bucket(key)
-	e := &entry[V]{
-		key:     key,
-		val:     core.NewTypedCell(c.tm, val),
-		prev:    core.NewTypedCell[*entry[V]](c.tm, nil),
-		next:    core.NewTypedCell[*entry[V]](c.tm, nil),
-		hnext:   core.NewTypedCell(c.tm, b.Load(tx)),
-		touched: core.NewTypedCell(c.tm, false),
-	}
+	h := s.head.Load(tx)
+	e := &entry[V]{key: key}
+	core.InitTypedCell(c.tm, &e.val, val)
+	core.InitTypedCell(c.tm, &e.prev, nil)
+	core.InitTypedCell(c.tm, &e.next, h)
+	core.InitTypedCell(c.tm, &e.hnext, b.Load(tx))
+	core.InitTypedCell(c.tm, &e.touched, false)
 	b.Store(tx, e)
-	s.pushFrontTx(tx, e)
+	s.linkFrontTx(tx, e, h)
 	return true
 }
 
@@ -348,6 +352,12 @@ func (s *stripe[V]) pushFrontTx(tx *core.Tx, e *entry[V]) {
 	h := s.head.Load(tx)
 	e.prev.Store(tx, nil)
 	e.next.Store(tx, h)
+	s.linkFrontTx(tx, e, h)
+}
+
+// linkFrontTx makes e, whose links already read prev = nil and next = h,
+// the MRU end in place of h.
+func (s *stripe[V]) linkFrontTx(tx *core.Tx, e, h *entry[V]) {
 	if h == nil {
 		s.tail.Store(tx, e)
 	} else {

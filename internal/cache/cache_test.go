@@ -303,6 +303,51 @@ func TestCacheHotHitAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestCacheMissFillAllocatesOneEntry fences the entry layout: a steady
+// insert-and-evict cycle through a full one-stripe cache allocates the new
+// entry — its five cells and their first records included — plus a second
+// record for each cell around it written for the first time, at most 4
+// objects per miss-fill in all. The victim's scrub rewrites its records in
+// place and allocates nothing.
+func TestCacheMissFillAllocatesOneEntry(t *testing.T) {
+	if core.PrivatizeGuardsEnabled {
+		t.Skip("race-detector builds defeat sync.Pool reuse by design")
+	}
+	tm := core.New()
+	c := New[int](tm, 64)
+	if c.Stripes() != 1 {
+		t.Fatalf("%d stripes, want 1", c.Stripes())
+	}
+	key := 0
+	fill := func(tx *core.Tx) error {
+		if !c.PutTx(tx, key, key) {
+			t.Errorf("key %d was already cached", key)
+		}
+		return nil
+	}
+	put := func() {
+		key++
+		if err := tm.Atomically(core.Classic, fill); err != nil {
+			t.Error(err)
+		}
+	}
+	for i := 0; i < 10*64; i++ { // fill, then cycle every slot through
+		put()
+	}
+	_, _, before := c.Stats()
+	a := testing.AllocsPerRun(200, put)
+	t.Logf("%.0f objects per miss-fill", a)
+	if a > 4 {
+		t.Errorf("a miss-fill allocates %.0f objects, want at most 4", a)
+	}
+	if _, _, after := c.Stats(); after-before < 200 {
+		t.Errorf("%d evictions during the fenced fills, want one per fill", after-before)
+	}
+	if err := c.Check(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestNewWithNormalizesStripes: stripe counts round up to a power of two
 // and are capped so every stripe owns at least one slot; the default is a
 // function of the capacity alone — 16, halved while a stripe would own

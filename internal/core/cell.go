@@ -53,6 +53,37 @@ const (
 // The ref field is the exception: it is written once before the record is
 // published and never again (shapeRef records are excluded from recycling),
 // which is what lets readers copy the interface with a plain load.
+//
+// A cell's version-0 record is embedded in the cell (cell.first) rather
+// than allocated beside it. It is an ordinary record all the same: it is
+// retired, freelisted, retained under a pin and rewritten in place by a
+// final store exactly like any other, so none of the rules here single it
+// out. (Ref-shaped cells allocate their first record instead: a retired
+// record of theirs keeps its payload until the GC takes the record, and
+// an embedded one would live, payload and all, as long as the cell.)
+//
+// A PINNED read needs neither the lock wait nor the bracket once the cell
+// has moved past the pin (samplePinned). Take a transaction pinned at P —
+// a live SnapshotPin, so the reclamation watermark is <= P — that loads
+// the meta word and finds version V > P, locked or not:
+//
+//   - it can ignore the lock: a holder seen in that word, and every later
+//     committer, drew (or will draw) its write version after taking the
+//     lock, so above V and hence above P (the per-cell monotonicity of
+//     rule 2);
+//   - it can walk without the bracket: a write version above P was drawn
+//     after the pin's second clock read, so its install samples a
+//     watermark <= P (PinSnapshot's argument). Such an install never
+//     rewrites in place, which needs wv <= watermark, and its retire never
+//     cuts at or above the newest record <= watermark, which lies at or
+//     below the newest record <= P. The records from cur down to the one
+//     the read wants are therefore neither recycled, rewritten nor
+//     unlinked while the walk runs.
+//
+// A pinned read that finds V <= P takes the bracketed path, which waits
+// out a lock holder: that holder may have drawn its write version before
+// the pin, at or below P, and then rewrites the very record the read
+// wants.
 type rec struct {
 	word    atomic.Uint64        // shapeWord payload bits
 	ptr     atomic.Pointer[byte] // shapePtr payload (GC-visible)
@@ -119,11 +150,11 @@ type vbox struct {
 //   - id:   unique per-TM identity used to sort commit-time lock
 //     acquisition, which makes commits deadlock-free;
 //   - free: retired records awaiting reuse, linked through prev. Only the
-//     lock holder touches it.
+//     lock holder touches it;
+//   - first: the version-0 record, allocated with the cell (see rec).
 //
-// Cells must be created through TM.NewCell / NewTypedCell and used only
-// with transactions of the same TM: versions are meaningful only against
-// one clock.
+// A cell is used only with transactions of the TM that initialized it:
+// versions are meaningful only against one clock.
 type cell struct {
 	id    uint64
 	shape cellShape
@@ -131,6 +162,7 @@ type cell struct {
 	cur   atomic.Pointer[rec]
 	owner atomic.Pointer[Tx]
 	free  *rec
+	first rec
 }
 
 // version extracts the version from a meta word.
@@ -175,6 +207,25 @@ func (c *cell) sampleAt(ub uint64) (ver, cur uint64, v vbox, ok, tooOld bool) {
 		return 0, version(m1), vbox{}, true, true
 	}
 	return ver, version(m1), v, true, false
+}
+
+// samplePinned is sampleAt for a transaction pinned at ub, on the path the
+// rec contract's pinned-read rule opens: when the cell's version is past
+// ub it ignores the lock bit and walks the chain with no closing meta
+// load. ok is false when the cell's version is at or below ub — or, were
+// the pin's guarantee ever broken, when no record is old enough — and the
+// caller then falls back to the bracketed sampleAt.
+func (c *cell) samplePinned(ub uint64) (ver, cur uint64, v vbox, ok bool) {
+	m := c.meta.Load()
+	if version(m) <= ub {
+		return 0, 0, vbox{}, false
+	}
+	for r := c.cur.Load(); r != nil; r = r.prev.Load() {
+		if rv := r.version.Load(); rv <= ub {
+			return rv, version(m), r.load(c.shape), true
+		}
+	}
+	return 0, 0, vbox{}, false
 }
 
 // tryLock attempts to acquire the versioned write lock for tx. It returns

@@ -230,7 +230,8 @@ func (tx *Tx) pushWindow(c *cell, ver uint64) {
 // falling back to the retained older version when the location has been
 // overwritten since. Snapshot reads wait out writers holding the lock (the
 // writer published its write version before locking was released, so
-// reading under the lock could tear a commit), but never abort them.
+// reading under the lock could tear a commit), but never abort them. A
+// pinned read skips the wait on a cell already past the pin.
 func (tx *Tx) readSnapshot(c *cell) vbox {
 	v, _ := tx.readSnapshotVer(c)
 	return v
@@ -242,9 +243,19 @@ func (tx *Tx) readSnapshot(c *cell) vbox {
 // comparing this version against the older pin's version, no value equality
 // needed).
 func (tx *Tx) readSnapshotVer(c *cell) (vbox, uint64) {
-	for round := 0; ; round++ {
-		ver, cur, v, ok, tooOld := c.sampleAt(tx.ub)
-		if !ok {
+	var (
+		ver, cur uint64
+		v        vbox
+		ok       bool
+	)
+	if tx.pinned {
+		// A cell that has moved past the pin is read without waiting or
+		// retrying (see the rec contract).
+		ver, cur, v, ok = c.samplePinned(tx.ub)
+	}
+	for round := 0; !ok; round++ {
+		var tooOld bool
+		if ver, cur, v, ok, tooOld = c.sampleAt(tx.ub); !ok {
 			tx.waitCell(c, round)
 			continue
 		}
@@ -253,15 +264,15 @@ func (tx *Tx) readSnapshotVer(c *cell) (vbox, uint64) {
 			// updaters only keep finitely many versions.
 			tx.abort(AbortSnapshotTooOld)
 		}
-		if ver != cur {
-			tx.tm.stats.snapshotOld.Add(1)
-		}
-		if tx.tm.recorder != nil {
-			tx.record(Event{Kind: EventRead, TxID: tx.id.Load(), Attempt: tx.attempt,
-				Sem: tx.sem, Cell: c.id, Version: ver})
-		}
-		return v, ver
 	}
+	if ver != cur {
+		tx.tm.stats.snapshotOld.Add(1)
+	}
+	if tx.tm.recorder != nil {
+		tx.record(Event{Kind: EventRead, TxID: tx.id.Load(), Attempt: tx.attempt,
+			Sem: tx.sem, Cell: c.id, Version: ver})
+	}
+	return v, ver
 }
 
 // VersionPending is the version LoadVersioned reports for a read answered

@@ -229,9 +229,10 @@ func (tm *TM) NewCell(initial any) *Cell {
 	return c
 }
 
-// initCell stamps a freshly allocated cell engine with its identity, shape
-// and initial version-0 record. It is the single construction point under
-// NewCell and NewTypedCell.
+// initCell stamps a zero cell engine with its identity, shape and initial
+// version-0 record — the embedded first record, except for ref-shaped
+// cells (see rec). It is the single construction point under NewCell and
+// InitTypedCell.
 func (tm *TM) initCell(c *cell, shape cellShape, v vbox) {
 	b, _ := tm.cellIDs.Get().(*cellIDBlock)
 	if b == nil {
@@ -244,7 +245,10 @@ func (tm *TM) initCell(c *cell, shape cellShape, v vbox) {
 	b.next++
 	tm.cellIDs.Put(b)
 	c.shape = shape
-	r := new(rec)
+	r := &c.first
+	if shape == shapeRef {
+		r = new(rec)
+	}
 	r.set(shape, v)
 	c.cur.Store(r)
 }

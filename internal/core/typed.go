@@ -23,10 +23,14 @@ import (
 // back to the boxed representation and cost exactly what an untyped Cell
 // costs.
 //
-// A TypedCell must be created through NewTypedCell and used only with
-// transactions of the TM it was created on. Typed and untyped cells
-// interoperate freely inside one transaction: they share the engine, the
-// clock, and every semantics.
+// A TypedCell is either allocated on its own by NewTypedCell or embedded
+// by value in a larger structure — a tree node's links, say — and
+// initialized in place by InitTypedCell, so a node and all its cells are
+// one allocation. Either way it is used only with transactions of the TM
+// that initialized it, and never copied after initialization (go vet's
+// copylocks check reports copies, through the cell's atomic fields).
+// Typed and untyped cells interoperate freely inside one transaction:
+// they share the engine, the clock, and every semantics.
 type TypedCell[T any] struct {
 	h cell
 }
@@ -34,10 +38,20 @@ type TypedCell[T any] struct {
 // NewTypedCell allocates a typed transactional memory location holding
 // initial. The cell starts at version 0, readable by every transaction.
 func NewTypedCell[T any](tm *TM, initial T) *TypedCell[T] {
-	c := &TypedCell[T]{}
+	c := new(TypedCell[T])
+	InitTypedCell(tm, c, initial)
+	return c
+}
+
+// InitTypedCell initializes the zero cell c in place to hold initial, at
+// version 0, for transactions of tm. It panics when c is already
+// initialized: a cell's identity and history are fixed for its lifetime.
+func InitTypedCell[T any](tm *TM, c *TypedCell[T], initial T) {
+	if c.h.cur.Load() != nil {
+		panic("core: InitTypedCell of an initialized cell")
+	}
 	s := shapeFor[T]()
 	tm.initCell(&c.h, s, encodeVal(s, initial))
-	return c
 }
 
 // ID returns the cell's unique identity within its TM. It is stable for

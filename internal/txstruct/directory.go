@@ -18,14 +18,15 @@ var (
 )
 
 // dirEntry is one name binding; next is a typed cell holding the
-// successor *dirEntry, so directory walks carry entry pointers unboxed.
+// successor *dirEntry, embedded in the entry, so directory walks carry
+// entry pointers unboxed.
 // Names are immutable per entry; the bound file stays an untyped cell
 // (directories bind heterogeneous files), demonstrating typed and untyped
 // cells cohabiting in one structure — and in one transaction.
 type dirEntry struct {
 	name string
 	file *core.Cell // holds any
-	next *core.TypedCell[*dirEntry]
+	next core.TypedCell[*dirEntry]
 }
 
 // Directory maps names to files, the abstraction of the paper's section
@@ -35,12 +36,14 @@ type dirEntry struct {
 // depth-ordered locking.
 type Directory struct {
 	tm   *core.TM
-	head *core.TypedCell[*dirEntry] // sorted by name
+	head core.TypedCell[*dirEntry] // sorted by name
 }
 
 // NewDirectory builds an empty directory bound to tm.
 func NewDirectory(tm *core.TM) *Directory {
-	return &Directory{tm: tm, head: core.NewTypedCell[*dirEntry](tm, nil)}
+	d := &Directory{tm: tm}
+	core.InitTypedCell(tm, &d.head, nil)
+	return d
 }
 
 // find walks to name's position: prev is the entry before it (nil at
@@ -70,7 +73,8 @@ func (d *Directory) CreateTx(tx *core.Tx, name string, file any) error {
 	if curr != nil && curr.name == name {
 		return fmt.Errorf("create %q: %w", name, ErrExists)
 	}
-	e := &dirEntry{name: name, file: d.tm.NewCell(file), next: core.NewTypedCell(d.tm, curr)}
+	e := &dirEntry{name: name, file: d.tm.NewCell(file)}
+	core.InitTypedCell(d.tm, &e.next, curr)
 	if prev == nil {
 		d.head.Store(tx, e)
 	} else {

@@ -14,13 +14,14 @@ import (
 // node is one list node. The value is immutable after creation (exactly
 // Algorithm 2's transactional structure: only the next pointer is shared
 // mutable state); next is a typed cell holding the successor *node,
-// nil-terminated. The typed cell keeps the parse loops free of interface
-// boxing and type assertions, and its commit path recycles version
-// records, so add/remove commits do not allocate beyond the new node
-// itself.
+// nil-terminated, embedded in the node. The typed cell keeps the parse
+// loops free of interface boxing and type assertions, and its commit path
+// recycles version records, so add/remove commits allocate the new node —
+// one object, cell included — plus the records a cell takes on its first
+// few updates, before its records cycle.
 type node struct {
 	val  int
-	next *core.TypedCell[*node]
+	next core.TypedCell[*node]
 }
 
 // ListConfig selects the semantics of each operation class, which is the
@@ -55,7 +56,7 @@ func (c *ListConfig) fill() {
 type List struct {
 	tm   *core.TM
 	cfg  ListConfig
-	head *core.TypedCell[*node]
+	head core.TypedCell[*node]
 }
 
 var (
@@ -66,7 +67,9 @@ var (
 // NewList builds an empty list bound to tm.
 func NewList(tm *core.TM, cfg ListConfig) *List {
 	cfg.fill()
-	return &List{tm: tm, cfg: cfg, head: core.NewTypedCell[*node](tm, nil)}
+	l := &List{tm: tm, cfg: cfg}
+	core.InitTypedCell(tm, &l.head, nil)
+	return l
 }
 
 // ContainsTx is the composable form of Contains: it runs inside the
@@ -94,7 +97,8 @@ func (l *List) AddTx(tx *core.Tx, v int) bool {
 	if curr != nil && curr.val == v {
 		return false
 	}
-	n := &node{val: v, next: core.NewTypedCell(l.tm, curr)}
+	n := &node{val: v}
+	core.InitTypedCell(l.tm, &n.next, curr)
 	if prev == nil {
 		l.head.Store(tx, n)
 	} else {

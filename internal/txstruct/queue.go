@@ -5,10 +5,10 @@ import (
 )
 
 // qnode is one queue node; the value is immutable after creation and next
-// is a typed cell holding the successor *qnode.
+// is a typed cell holding the successor *qnode, embedded in the node.
 type qnode[T any] struct {
 	val  T
-	next *core.TypedCell[*qnode[T]]
+	next core.TypedCell[*qnode[T]]
 }
 
 // QueueOf is a typed transactional FIFO queue. Enqueue and Dequeue run as
@@ -20,8 +20,8 @@ type qnode[T any] struct {
 type QueueOf[T any] struct {
 	tm      *core.TM
 	sizeSem core.Semantics
-	head    *core.TypedCell[*qnode[T]]
-	tail    *core.TypedCell[*qnode[T]]
+	head    core.TypedCell[*qnode[T]]
+	tail    core.TypedCell[*qnode[T]]
 }
 
 // Queue is the untyped compatibility face: a FIFO of `any` values,
@@ -40,17 +40,16 @@ func NewQueueOf[T any](tm *core.TM, sizeSem core.Semantics) *QueueOf[T] {
 	if sizeSem == 0 {
 		sizeSem = core.Snapshot
 	}
-	return &QueueOf[T]{
-		tm:      tm,
-		sizeSem: sizeSem,
-		head:    core.NewTypedCell[*qnode[T]](tm, nil),
-		tail:    core.NewTypedCell[*qnode[T]](tm, nil),
-	}
+	q := &QueueOf[T]{tm: tm, sizeSem: sizeSem}
+	core.InitTypedCell(tm, &q.head, nil)
+	core.InitTypedCell(tm, &q.tail, nil)
+	return q
 }
 
 // EnqueueTx appends v inside the caller's transaction.
 func (q *QueueOf[T]) EnqueueTx(tx *core.Tx, v T) {
-	n := &qnode[T]{val: v, next: core.NewTypedCell[*qnode[T]](q.tm, nil)}
+	n := &qnode[T]{val: v}
+	core.InitTypedCell(q.tm, &n.next, nil)
 	t := q.tail.Load(tx)
 	if t == nil {
 		q.head.Store(tx, n)

@@ -13,10 +13,11 @@ const skipMaxLevel = 16
 
 // snode is one skip-list node: an immutable value and one typed next-cell
 // per level (each holding the successor *snode), so tower traversals carry
-// node pointers without interface boxing or type assertions.
+// node pointers without interface boxing or type assertions. The tower is
+// one slice of cells, so a node is two allocations at any height.
 type snode struct {
 	val  int
-	next []*core.TypedCell[*snode]
+	next []core.TypedCell[*snode]
 }
 
 // SkipList is a transactional skip list integer set.
@@ -46,11 +47,16 @@ func NewSkipList(tm *core.TM, sizeSem core.Semantics) *SkipList {
 	if sizeSem == 0 {
 		sizeSem = core.Snapshot
 	}
-	head := &snode{val: 0, next: make([]*core.TypedCell[*snode], skipMaxLevel)}
-	for i := range head.next {
-		head.next[i] = core.NewTypedCell[*snode](tm, nil)
+	return &SkipList{tm: tm, sizeSem: sizeSem, head: newSnode(tm, 0, make([]*snode, skipMaxLevel))}
+}
+
+// newSnode builds a node of value v whose tower links level l to succs[l].
+func newSnode(tm *core.TM, v int, succs []*snode) *snode {
+	n := &snode{val: v, next: make([]core.TypedCell[*snode], len(succs))}
+	for l, succ := range succs {
+		core.InitTypedCell(tm, &n.next[l], succ)
 	}
-	return &SkipList{tm: tm, sizeSem: sizeSem, head: head}
+	return n
 }
 
 // levelOf derives a deterministic tower height from the value: the number
@@ -108,10 +114,7 @@ func (s *SkipList) AddTx(tx *core.Tx, v int) bool {
 		return false
 	}
 	h := levelOf(v)
-	n := &snode{val: v, next: make([]*core.TypedCell[*snode], h)}
-	for l := 0; l < h; l++ {
-		n.next[l] = core.NewTypedCell(s.tm, succs[l])
-	}
+	n := newSnode(s.tm, v, succs[:h])
 	for l := 0; l < h; l++ {
 		preds[l].next[l].Store(tx, n)
 	}

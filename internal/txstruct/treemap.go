@@ -9,7 +9,11 @@ import (
 // tnode is one tree node. The key is immutable; the value, children and
 // color are typed transactional cells — and, being typed, they carry node
 // pointers and colour bits in specialized records instead of boxed
-// interfaces: a put/delete commit allocates only the nodes it creates.
+// interfaces. The cells are embedded in the node, each with its version-0
+// record inside it, so a node is one allocation and a descent steps from
+// node to cell to record without another pointer: an insert allocates its
+// node, plus a record for each cell it writes that is still within its
+// first WithMaxVersions updates (after those, a cell's records cycle).
 //
 // A mutation stores to a cell only when the value it writes differs from
 // the one the transaction just loaded there (a silent store would lock,
@@ -19,10 +23,10 @@ import (
 // links and colours that really change.
 type tnode[V any] struct {
 	key   int
-	val   *core.TypedCell[V]
-	left  *core.TypedCell[*tnode[V]]
-	right *core.TypedCell[*tnode[V]]
-	red   *core.TypedCell[bool]
+	val   core.TypedCell[V]
+	left  core.TypedCell[*tnode[V]]
+	right core.TypedCell[*tnode[V]]
+	red   core.TypedCell[bool]
 }
 
 // TreeMapOf is a transactional ordered map: a left-leaning red-black tree
@@ -36,7 +40,7 @@ type tnode[V any] struct {
 type TreeMapOf[V any] struct {
 	tm      *core.TM
 	sizeSem core.Semantics
-	root    *core.TypedCell[*tnode[V]]
+	root    core.TypedCell[*tnode[V]]
 }
 
 // TreeMap is the untyped compatibility face: an ordered map with `any`
@@ -55,7 +59,9 @@ func NewTreeMapOf[V any](tm *core.TM, sizeSem core.Semantics) *TreeMapOf[V] {
 	if sizeSem == 0 {
 		sizeSem = core.Snapshot
 	}
-	return &TreeMapOf[V]{tm: tm, sizeSem: sizeSem, root: core.NewTypedCell[*tnode[V]](tm, nil)}
+	m := &TreeMapOf[V]{tm: tm, sizeSem: sizeSem}
+	core.InitTypedCell(tm, &m.root, nil)
+	return m
 }
 
 func isRed[V any](tx *core.Tx, n *tnode[V]) bool {
@@ -65,14 +71,15 @@ func isRed[V any](tx *core.Tx, n *tnode[V]) bool {
 	return n.red.Load(tx)
 }
 
-func (m *TreeMapOf[V]) newNode(key int, val V) *tnode[V] {
-	return &tnode[V]{
-		key:   key,
-		val:   core.NewTypedCell(m.tm, val),
-		left:  core.NewTypedCell[*tnode[V]](m.tm, nil),
-		right: core.NewTypedCell[*tnode[V]](m.tm, nil),
-		red:   core.NewTypedCell(m.tm, true),
-	}
+// makeNode allocates a node and its cells in one piece: a fresh leaf, or
+// the successor graft of remove.
+func (m *TreeMapOf[V]) makeNode(key int, val V, left, right *tnode[V], red bool) *tnode[V] {
+	n := &tnode[V]{key: key}
+	core.InitTypedCell(m.tm, &n.val, val)
+	core.InitTypedCell(m.tm, &n.left, left)
+	core.InitTypedCell(m.tm, &n.right, right)
+	core.InitTypedCell(m.tm, &n.red, red)
+	return n
 }
 
 // relink points link at n, unless old — what the transaction just loaded
@@ -169,7 +176,7 @@ func (m *TreeMapOf[V]) PutTx(tx *core.Tx, key int, val V) bool {
 	if red {
 		root.red.Store(tx, false)
 	}
-	relink(tx, m.root, old, root)
+	relink(tx, &m.root, old, root)
 	return inserted
 }
 
@@ -181,12 +188,12 @@ func (m *TreeMapOf[V]) PutTx(tx *core.Tx, key int, val V) bool {
 // compared.
 func (m *TreeMapOf[V]) put(tx *core.Tx, h *tnode[V], key int, val V) (root *tnode[V], inserted, red bool) {
 	if h == nil {
-		return m.newNode(key, val), true, true
+		return m.makeNode(key, val, nil, nil, true), true, true
 	}
-	link := h.left
+	link := &h.left
 	switch {
 	case key > h.key:
-		link = h.right
+		link = &h.right
 	case key == h.key:
 		h.val.Store(tx, val)
 		return h, false, false
@@ -241,7 +248,7 @@ func deleteMin[V any](tx *core.Tx, h *tnode[V]) *tnode[V] {
 		h = moveRedLeft(tx, h)
 		l = h.left.Load(tx)
 	}
-	relink(tx, h.left, l, deleteMin(tx, l))
+	relink(tx, &h.left, l, deleteMin(tx, l))
 	return fixUp(tx, h)
 }
 
@@ -256,7 +263,7 @@ func (m *TreeMapOf[V]) DeleteTx(tx *core.Tx, key int) bool {
 	if isRed(tx, root) {
 		root.red.Store(tx, false)
 	}
-	relink(tx, m.root, old, root)
+	relink(tx, &m.root, old, root)
 	return true
 }
 
@@ -269,7 +276,7 @@ func (m *TreeMapOf[V]) remove(tx *core.Tx, h *tnode[V], key int) *tnode[V] {
 			h = moveRedLeft(tx, h)
 			l = h.left.Load(tx)
 		}
-		relink(tx, h.left, l, m.remove(tx, l, key))
+		relink(tx, &h.left, l, m.remove(tx, l, key))
 		return fixUp(tx, h)
 	}
 	if isRed(tx, h.left.Load(tx)) {
@@ -288,15 +295,9 @@ func (m *TreeMapOf[V]) remove(tx *core.Tx, h *tnode[V], key int) *tnode[V] {
 		// node, so graft a fresh node keeping the children and color
 		// cells' contents.
 		succ := minNode(tx, r)
-		h = &tnode[V]{
-			key:   succ.key,
-			val:   core.NewTypedCell(m.tm, succ.val.Load(tx)),
-			left:  core.NewTypedCell(m.tm, h.left.Load(tx)),
-			right: core.NewTypedCell(m.tm, deleteMin(tx, r)),
-			red:   core.NewTypedCell(m.tm, isRed(tx, h)),
-		}
+		h = m.makeNode(succ.key, succ.val.Load(tx), h.left.Load(tx), deleteMin(tx, r), isRed(tx, h))
 	} else {
-		relink(tx, h.right, r, m.remove(tx, r, key))
+		relink(tx, &h.right, r, m.remove(tx, r, key))
 	}
 	return fixUp(tx, h)
 }

@@ -24,10 +24,10 @@ func pathVersions(t *testing.T, tm *core.TM, m *TreeMapOf[int], key int) (path [
 		for n != nil {
 			_, ver = n.red.LoadVersioned(tx)
 			path = append(path, ver)
-			link := n.left
+			link := &n.left
 			switch {
 			case key > n.key:
-				link = n.right
+				link = &n.right
 			case key == n.key:
 				_, val = n.val.LoadVersioned(tx)
 				return nil
