@@ -25,7 +25,7 @@ func main() {
 
 func run() error {
 	tm := repro.New()
-	q := txstruct.NewQueue(tm, repro.Snapshot)
+	q := txstruct.NewQueueOf[int](tm, repro.Snapshot)
 
 	// Seed the window of readings.
 	for i := 0; i < 16; i++ {
@@ -73,9 +73,8 @@ func run() error {
 		var view []int
 		err := tm.Atomically(repro.Snapshot, func(tx *repro.Tx) error {
 			view = view[:0]
-			q.EachTx(tx, func(v any) bool {
-				n, _ := v.(int)
-				view = append(view, n)
+			q.EachTx(tx, func(v int) bool {
+				view = append(view, v)
 				return true
 			})
 			return nil

@@ -25,11 +25,11 @@ func TestNewRegistry(t *testing.T) {
 
 // TestPoliciesMakeProgress runs a deliberately conflicting workload under
 // every policy and requires full completion (no livelock/deadlock) with a
-// conserved invariant. The hot spot is hammered through BOTH cell faces —
-// the untyped Cell and a TypedCell[int] — because arbitration happens in
-// the shared engine below the typed skin: a policy must see identical
-// conflicts (and the same owner accessors) whichever entry point the
-// transactions used.
+// conserved invariant. The hot spot is hammered through BOTH record shapes
+// — a ref-shaped TypedCell[any] and a word-shaped TypedCell[int] — because
+// arbitration happens in the shared engine below the typed skin: a policy
+// must see identical conflicts (and the same owner accessors) whichever
+// representation the transactions touched.
 func TestPoliciesMakeProgress(t *testing.T) {
 	for _, name := range Names() {
 		name := name
@@ -40,8 +40,8 @@ func TestPoliciesMakeProgress(t *testing.T) {
 			}
 			tm := core.New(core.WithContentionManager(policy))
 			// Two hot cells hammered by all workers: worst-case conflicts,
-			// split across the untyped and typed APIs.
-			hot := tm.NewCell(0)
+			// split across the ref and word shapes.
+			hot := core.NewTypedCell[any](tm, 0)
 			hotTyped := core.NewTypedCell(tm, 0)
 			const (
 				workers = 4
@@ -55,13 +55,13 @@ func TestPoliciesMakeProgress(t *testing.T) {
 					for i := 0; i < incs; i++ {
 						err := tm.Atomically(core.Classic, func(tx *core.Tx) error {
 							if (w+i)%2 == 0 {
-								v, _ := tx.Load(hot).(int)
-								tx.Store(hot, v+1)
+								v, _ := hot.Load(tx).(int)
+								hot.Store(tx, v+1)
 								hotTyped.Store(tx, hotTyped.Load(tx)+1)
 							} else {
 								hotTyped.Store(tx, hotTyped.Load(tx)+1)
-								v, _ := tx.Load(hot).(int)
-								tx.Store(hot, v+1)
+								v, _ := hot.Load(tx).(int)
+								hot.Store(tx, v+1)
 							}
 							return nil
 						})
@@ -75,7 +75,7 @@ func TestPoliciesMakeProgress(t *testing.T) {
 			wg.Wait()
 			var got, gotTyped int
 			if err := tm.Atomically(core.Classic, func(tx *core.Tx) error {
-				got, _ = tx.Load(hot).(int)
+				got, _ = hot.Load(tx).(int)
 				gotTyped = hotTyped.Load(tx)
 				return nil
 			}); err != nil {

@@ -34,17 +34,17 @@ func TestReadOnlyTransactionsAllocateNothing(t *testing.T) {
 		for _, scheme := range []ClockScheme{ClockGV1, ClockGVPass, ClockGVSharded} {
 			t.Run(fmt.Sprintf("%s/%s", sem, scheme), func(t *testing.T) {
 				tm := New(WithClockScheme(scheme))
-				cells := make([]*Cell, 8)
-				typed := make([]*TypedCell[int], 8)
-				for i := range cells {
-					cells[i] = tm.NewCell(i)
-					typed[i] = NewTypedCell(tm, i)
+				refs := make([]*TypedCell[any], 8)
+				words := make([]*TypedCell[int], 8)
+				for i := range refs {
+					refs[i] = NewTypedCell[any](tm, i)
+					words[i] = NewTypedCell(tm, i)
 				}
 				fn := func(tx *Tx) error {
-					for _, c := range cells {
-						_ = tx.Load(c)
+					for _, c := range refs {
+						_ = c.Load(tx)
 					}
-					for _, c := range typed {
+					for _, c := range words {
 						_ = c.Load(tx)
 					}
 					return nil
@@ -195,20 +195,21 @@ func TestTypedUpdatesStayZeroAllocWithPinBookkeeping(t *testing.T) {
 	}
 }
 
-// TestUpdateTransactionsAllocateLittle fences the UNTYPED update path: the
-// only tolerated allocations are value boxing (storing a non-pointer into
-// the any-typed cell) and the fresh version record each commit installs —
-// ref-shaped records are immutable after publication, so they cannot be
-// recycled. The typed fence above is the zero-allocation counterpart.
+// TestUpdateTransactionsAllocateLittle fences the REF-SHAPED update path
+// (TypedCell[any]): the only tolerated allocations are value boxing
+// (storing a non-pointer into the any-typed cell) and the fresh version
+// record each commit installs — ref-shaped records are immutable after
+// publication, so they cannot be recycled. The word-shaped fence above is
+// the zero-allocation counterpart.
 func TestUpdateTransactionsAllocateLittle(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector builds defeat sync.Pool reuse by design")
 	}
 	tm := New()
-	c := tm.NewCell(0)
+	c := NewTypedCell[any](tm, 0)
 	fn := func(tx *Tx) error {
-		v, _ := tx.Load(c).(int)
-		tx.Store(c, v+1) // +1 alloc: boxing; +1 alloc: the installed record
+		v, _ := c.Load(tx).(int)
+		c.Store(tx, v+1) // +1 alloc: boxing; +1 alloc: the installed record
 		return nil
 	}
 	for i := 0; i < 3; i++ {
@@ -222,6 +223,6 @@ func TestUpdateTransactionsAllocateLittle(t *testing.T) {
 		}
 	})
 	if allocs > 2 {
-		t.Errorf("single-cell untyped update allocates %.1f objects/op, want <= 2 (boxing + record)", allocs)
+		t.Errorf("single-cell ref-shaped update allocates %.1f objects/op, want <= 2 (boxing + record)", allocs)
 	}
 }

@@ -127,7 +127,7 @@ func (r *rec) set(s cellShape, v vbox) {
 // buffers, installs — without committing to a representation: exactly one
 // of the fields is meaningful, selected by the cell's shape. It is the
 // untyped currency that lets one engine serve every TypedCell[T]
-// instantiation (and the untyped Cell) with a single code path.
+// instantiation with a single code path.
 //
 // Pointer-shaped payloads travel in ref as a *byte (a static-type
 // interface write, so no allocation) and only land in the record's atomic
@@ -140,7 +140,7 @@ type vbox struct {
 
 // cell is the untyped engine under every transactional memory location:
 // the versioned lock, the version chain and the identity the commit path
-// sorts by. TypedCell[T] and Cell embed it and add only encoding.
+// sorts by. TypedCell[T] embeds it and adds only encoding.
 //
 // Layout:
 //   - meta: version<<1 | lockedBit — the versioned write lock;
@@ -262,8 +262,8 @@ func (c *cell) unlock(newVersion uint64) {
 // nothing: the update hot path cycles a fixed set of keep+1 records per
 // cell. Ref-shaped cells allocate a fresh record every install (their
 // payload field cannot be rewritten race-free) and drop retired ones to
-// the GC — the price of the untyped `any` representation, and the boxing
-// tax the typed API exists to avoid. While a pin is active, installs on
+// the GC — the price of the boxed `any` representation, and the boxing
+// tax the word and pointer shapes exist to avoid. While a pin is active, installs on
 // overwritten cells allocate too (the records a pin retains cannot be
 // recycled, by design); the backlog is retired in one cut — and the
 // freelist refilled — on the first install after the pin releases.

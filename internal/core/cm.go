@@ -41,17 +41,16 @@ func (d Decision) String() string {
 // may have just released); treating nil as "wait once more" is reasonable.
 // attempt counts consecutive arbitrations for the same conflict.
 //
-// Conflicts reach the manager from ONE engine regardless of which cell
-// face raised them: Tx.Load/Tx.Store on the untyped Cell and
-// TypedCell.Load/TypedCell.Store (or LoadT/StoreT) on typed cells all
-// funnel into the same read/acquire paths, so a policy never needs to
-// know — and cannot tell — whether the contended location is typed.
+// Conflicts reach the manager from ONE engine regardless of the cell's
+// type: TypedCell.Load/TypedCell.Store of every T funnel into the same
+// read/acquire paths, so a policy never needs to know — and cannot tell —
+// what the contended location holds.
 //
 // The owner pointer may refer to a handle that has finished and been
 // recycled for a new transaction (handles are pooled): policies must only
 // consult owner through the race-free accessors ID, Birth, Priority, Work,
 // Killed and Kill — never Semantics, Attempt or the transactional
-// operations (untyped or typed), which are exclusive to the owning
+// operations, which are exclusive to the owning
 // goroutine. A stale owner read yields a heuristically outdated but
 // harmless answer.
 //

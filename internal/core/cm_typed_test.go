@@ -37,12 +37,11 @@ func (m *countingCM) Arbitrate(tx, owner *Tx, attempt int) Decision {
 func (m *countingCM) OnCommit(*Tx) {}
 func (m *countingCM) OnAbort(*Tx)  {}
 
-// TestTypedConflictsReachContentionManager pins the typed half of the CM
-// contract (see the ContentionManager comment in cm.go): a conflict raised
-// by TypedCell.Load / TypedCell.Store — with no untyped operation anywhere
-// — must funnel into Arbitrate with a live owner handle, exactly like the
-// untyped path. The lock is held white-box so the conflict is
-// deterministic even on a single-core host.
+// TestTypedConflictsReachContentionManager pins the CM contract (see the
+// ContentionManager comment in cm.go): a conflict raised by
+// TypedCell.Load / TypedCell.Store on a word-shaped cell must funnel into
+// Arbitrate with a live owner handle. The lock is held white-box so the
+// conflict is deterministic even on a single-core host.
 func TestTypedConflictsReachContentionManager(t *testing.T) {
 	for _, op := range []string{"load", "store"} {
 		t.Run(op, func(t *testing.T) {

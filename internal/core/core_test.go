@@ -13,15 +13,11 @@ func mustAtomically(t *testing.T, tm *TM, sem Semantics, fn func(*Tx) error) {
 	}
 }
 
-func loadInt(t *testing.T, tm *TM, c *Cell) int {
+func loadInt(t *testing.T, tm *TM, c *TypedCell[int]) int {
 	t.Helper()
 	var out int
 	mustAtomically(t, tm, Classic, func(tx *Tx) error {
-		v, ok := tx.Load(c).(int)
-		if !ok {
-			t.Fatalf("cell does not hold an int: %T", tx.Load(c))
-		}
-		out = v
+		out = c.Load(tx)
 		return nil
 	})
 	return out
@@ -29,9 +25,9 @@ func loadInt(t *testing.T, tm *TM, c *Cell) int {
 
 func TestCommitMakesWritesVisible(t *testing.T) {
 	tm := New()
-	c := tm.NewCell(1)
+	c := NewTypedCell(tm, 1)
 	mustAtomically(t, tm, Classic, func(tx *Tx) error {
-		tx.Store(c, 2)
+		c.Store(tx, 2)
 		return nil
 	})
 	if got := loadInt(t, tm, c); got != 2 {
@@ -41,10 +37,10 @@ func TestCommitMakesWritesVisible(t *testing.T) {
 
 func TestReadYourWrites(t *testing.T) {
 	tm := New()
-	c := tm.NewCell(1)
+	c := NewTypedCell(tm, 1)
 	mustAtomically(t, tm, Classic, func(tx *Tx) error {
-		tx.Store(c, 5)
-		if got := tx.Load(c); got != 5 {
+		c.Store(tx, 5)
+		if got := c.Load(tx); got != 5 {
 			t.Errorf("read-your-writes: got %v, want 5", got)
 		}
 		return nil
@@ -53,10 +49,10 @@ func TestReadYourWrites(t *testing.T) {
 
 func TestUserErrorRollsBack(t *testing.T) {
 	tm := New()
-	c := tm.NewCell(1)
+	c := NewTypedCell(tm, 1)
 	sentinel := errors.New("user abort")
 	err := tm.Atomically(Classic, func(tx *Tx) error {
-		tx.Store(c, 99)
+		c.Store(tx, 99)
 		return sentinel
 	})
 	if !errors.Is(err, sentinel) {
@@ -69,9 +65,9 @@ func TestUserErrorRollsBack(t *testing.T) {
 
 func TestStoreInSnapshotFails(t *testing.T) {
 	tm := New()
-	c := tm.NewCell(1)
+	c := NewTypedCell(tm, 1)
 	err := tm.Atomically(Snapshot, func(tx *Tx) error {
-		tx.Store(c, 2)
+		c.Store(tx, 2)
 		return nil
 	})
 	if !errors.Is(err, ErrWriteInSnapshot) {
@@ -98,8 +94,8 @@ func TestInvalidSemanticsRejected(t *testing.T) {
 
 func TestMultiCellAtomicity(t *testing.T) {
 	tm := New()
-	a := tm.NewCell(100)
-	b := tm.NewCell(0)
+	a := NewTypedCell(tm, 100)
+	b := NewTypedCell(tm, 0)
 	const (
 		workers   = 4
 		transfers = 500
@@ -111,10 +107,10 @@ func TestMultiCellAtomicity(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < transfers; i++ {
 				_ = tm.Atomically(Classic, func(tx *Tx) error {
-					av, _ := tx.Load(a).(int)
-					bv, _ := tx.Load(b).(int)
-					tx.Store(a, av-1)
-					tx.Store(b, bv+1)
+					av := a.Load(tx)
+					bv := b.Load(tx)
+					a.Store(tx, av-1)
+					b.Store(tx, bv+1)
 					return nil
 				})
 			}
@@ -123,8 +119,8 @@ func TestMultiCellAtomicity(t *testing.T) {
 	wg.Wait()
 	var sum int
 	mustAtomically(t, tm, Classic, func(tx *Tx) error {
-		av, _ := tx.Load(a).(int)
-		bv, _ := tx.Load(b).(int)
+		av := a.Load(tx)
+		bv := b.Load(tx)
 		sum = av + bv
 		return nil
 	})
@@ -141,7 +137,7 @@ func TestConcurrentCounterNoLostUpdates(t *testing.T) {
 		sem := sem
 		t.Run(sem.String(), func(t *testing.T) {
 			tm := New()
-			c := tm.NewCell(0)
+			c := NewTypedCell(tm, 0)
 			const (
 				workers = 8
 				incs    = 250
@@ -153,8 +149,8 @@ func TestConcurrentCounterNoLostUpdates(t *testing.T) {
 					defer wg.Done()
 					for i := 0; i < incs; i++ {
 						_ = tm.Atomically(sem, func(tx *Tx) error {
-							v, _ := tx.Load(c).(int)
-							tx.Store(c, v+1)
+							v := c.Load(tx)
+							c.Store(tx, v+1)
 							return nil
 						})
 					}
@@ -170,7 +166,7 @@ func TestConcurrentCounterNoLostUpdates(t *testing.T) {
 
 func TestSnapshotReadsOldVersion(t *testing.T) {
 	tm := New()
-	c := tm.NewCell(10)
+	c := NewTypedCell(tm, 10)
 
 	// Start a snapshot, then commit an update "concurrently" by running
 	// it before the snapshot performs its read. The snapshot must return
@@ -188,14 +184,14 @@ func TestSnapshotReadsOldVersion(t *testing.T) {
 				close(started)
 				<-proceed
 			}
-			v, _ := tx.Load(c).(int)
+			v := c.Load(tx)
 			done <- v
 			return nil
 		})
 	}()
 	<-started
 	mustAtomically(t, tm, Classic, func(tx *Tx) error {
-		tx.Store(c, 20)
+		c.Store(tx, 20)
 		return nil
 	})
 	close(proceed)
@@ -213,7 +209,7 @@ func TestSnapshotTooOldAborts(t *testing.T) {
 	// must abort at least once (AbortSnapshotTooOld), then succeed on
 	// retry with a fresh upper bound.
 	tm := New(WithMaxVersions(1))
-	c := tm.NewCell(0)
+	c := NewTypedCell(tm, 0)
 	started := make(chan struct{})
 	proceed := make(chan struct{})
 	var got int
@@ -227,12 +223,12 @@ func TestSnapshotTooOldAborts(t *testing.T) {
 				close(started)
 				<-proceed
 			}
-			got, _ = tx.Load(c).(int)
+			got = c.Load(tx)
 			return nil
 		})
 	}()
 	<-started
-	mustAtomically(t, tm, Classic, func(tx *Tx) error { tx.Store(c, 1); return nil })
+	mustAtomically(t, tm, Classic, func(tx *Tx) error { c.Store(tx, 1); return nil })
 	close(proceed)
 	<-donec
 	if got != 1 {
@@ -246,7 +242,7 @@ func TestSnapshotTooOldAborts(t *testing.T) {
 
 func TestSnapshotWithTwoVersionsSurvivesOneUpdate(t *testing.T) {
 	tm := New() // default: two versions
-	c := tm.NewCell(0)
+	c := NewTypedCell(tm, 0)
 	started := make(chan struct{})
 	proceed := make(chan struct{})
 	var got int
@@ -260,12 +256,12 @@ func TestSnapshotWithTwoVersionsSurvivesOneUpdate(t *testing.T) {
 				close(started)
 				<-proceed
 			}
-			got, _ = tx.Load(c).(int)
+			got = c.Load(tx)
 			return nil
 		})
 	}()
 	<-started
-	mustAtomically(t, tm, Classic, func(tx *Tx) error { tx.Store(c, 1); return nil })
+	mustAtomically(t, tm, Classic, func(tx *Tx) error { c.Store(tx, 1); return nil })
 	close(proceed)
 	<-donec
 	if attempts != 1 {
@@ -281,9 +277,9 @@ func TestElasticToleratesFalseConflict(t *testing.T) {
 	// cell it has already moved past (outside the window) must not abort
 	// it. This is the paper's linked-list false-conflict scenario.
 	tm := New()
-	cells := make([]*Cell, 8)
+	cells := make([]*TypedCell[int], 8)
 	for i := range cells {
-		cells[i] = tm.NewCell(i)
+		cells[i] = NewTypedCell(tm, i)
 	}
 	started := make(chan struct{})
 	proceed := make(chan struct{})
@@ -295,14 +291,14 @@ func TestElasticToleratesFalseConflict(t *testing.T) {
 			attempts++
 			// Read the first half, pause, then the rest.
 			for i := 0; i < 4; i++ {
-				_ = tx.Load(cells[i])
+				_ = cells[i].Load(tx)
 			}
 			if attempts == 1 {
 				close(started)
 				<-proceed
 			}
 			for i := 4; i < len(cells); i++ {
-				_ = tx.Load(cells[i])
+				_ = cells[i].Load(tx)
 			}
 			return nil
 		})
@@ -310,7 +306,7 @@ func TestElasticToleratesFalseConflict(t *testing.T) {
 	<-started
 	// Modify cell 0: far behind the elastic window (which holds cells 2,3).
 	mustAtomically(t, tm, Classic, func(tx *Tx) error {
-		tx.Store(cells[0], 100)
+		cells[0].Store(tx, 100)
 		return nil
 	})
 	close(proceed)
@@ -330,21 +326,21 @@ func TestElasticToleratesFalseConflict(t *testing.T) {
 		_ = tm.Atomically(Classic, func(tx *Tx) error {
 			attempts++
 			for i := 0; i < 4; i++ {
-				_ = tx.Load(cells[i])
+				_ = cells[i].Load(tx)
 			}
 			if attempts == 1 {
 				close(started)
 				<-proceed
 			}
 			for i := 4; i < len(cells); i++ {
-				_ = tx.Load(cells[i])
+				_ = cells[i].Load(tx)
 			}
 			return nil
 		})
 	}()
 	<-started
 	mustAtomically(t, tm, Classic, func(tx *Tx) error {
-		tx.Store(cells[5], 200) // not yet read by the parse
+		cells[5].Store(tx, 200) // not yet read by the parse
 		return nil
 	})
 	close(proceed)
@@ -360,9 +356,9 @@ func TestElasticUpdaterToleratesFalseConflictClassicAborts(t *testing.T) {
 	// commit-time validation, but an elastic updater cut past it.
 	run := func(sem Semantics, target int) int {
 		tm := New()
-		cells := make([]*Cell, 8)
+		cells := make([]*TypedCell[int], 8)
 		for i := range cells {
-			cells[i] = tm.NewCell(i)
+			cells[i] = NewTypedCell(tm, i)
 		}
 		started := make(chan struct{})
 		proceed := make(chan struct{})
@@ -373,19 +369,19 @@ func TestElasticUpdaterToleratesFalseConflictClassicAborts(t *testing.T) {
 			_ = tm.Atomically(sem, func(tx *Tx) error {
 				attempts++
 				for i := 0; i < len(cells)-1; i++ {
-					_ = tx.Load(cells[i])
+					_ = cells[i].Load(tx)
 				}
 				if attempts == 1 {
 					close(started)
 					<-proceed
 				}
-				tx.Store(cells[len(cells)-1], 99)
+				(cells[len(cells)-1]).Store(tx, 99)
 				return nil
 			})
 		}()
 		<-started
 		if err := tm.Atomically(Classic, func(tx *Tx) error {
-			tx.Store(cells[target], 100)
+			cells[target].Store(tx, 100)
 			return nil
 		}); err != nil {
 			t.Errorf("writer failed: %v", err)
@@ -410,9 +406,9 @@ func TestElasticWindowConflictAborts(t *testing.T) {
 	// A concurrent commit to a cell INSIDE the elastic window must abort
 	// the parse: no consistent cut exists.
 	tm := New()
-	cells := make([]*Cell, 4)
+	cells := make([]*TypedCell[int], 4)
 	for i := range cells {
-		cells[i] = tm.NewCell(i)
+		cells[i] = NewTypedCell(tm, i)
 	}
 	started := make(chan struct{})
 	proceed := make(chan struct{})
@@ -422,20 +418,20 @@ func TestElasticWindowConflictAborts(t *testing.T) {
 		defer close(donec)
 		_ = tm.Atomically(Elastic, func(tx *Tx) error {
 			attempts++
-			_ = tx.Load(cells[0])
-			_ = tx.Load(cells[1])
-			_ = tx.Load(cells[2]) // window now {1, 2}
+			_ = cells[0].Load(tx)
+			_ = cells[1].Load(tx)
+			_ = cells[2].Load(tx) // window now {1, 2}
 			if attempts == 1 {
 				close(started)
 				<-proceed
 			}
-			_ = tx.Load(cells[3]) // validates window {1,2}
+			_ = cells[3].Load(tx) // validates window {1,2}
 			return nil
 		})
 	}()
 	<-started
 	mustAtomically(t, tm, Classic, func(tx *Tx) error {
-		tx.Store(cells[2], 99) // inside the window
+		cells[2].Store(tx, 99) // inside the window
 		return nil
 	})
 	close(proceed)
@@ -452,9 +448,9 @@ func TestEarlyReleaseIgnoresConflict(t *testing.T) {
 	// Classic transaction releases a read early; a conflicting commit on
 	// the released cell must not abort it (section 4.1).
 	tm := New()
-	a := tm.NewCell(1)
-	b := tm.NewCell(2)
-	out := tm.NewCell(0)
+	a := NewTypedCell(tm, 1)
+	b := NewTypedCell(tm, 2)
+	out := NewTypedCell(tm, 0)
 	started := make(chan struct{})
 	proceed := make(chan struct{})
 	attempts := 0
@@ -463,20 +459,20 @@ func TestEarlyReleaseIgnoresConflict(t *testing.T) {
 		defer close(donec)
 		_ = tm.Atomically(Classic, func(tx *Tx) error {
 			attempts++
-			_ = tx.Load(a)
-			tx.Release(a)
+			_ = a.Load(tx)
+			a.Release(tx)
 			if attempts == 1 {
 				close(started)
 				<-proceed
 			}
-			v, _ := tx.Load(b).(int)
-			tx.Store(out, v)
+			v := b.Load(tx)
+			out.Store(tx, v)
 			return nil
 		})
 	}()
 	<-started
 	mustAtomically(t, tm, Classic, func(tx *Tx) error {
-		tx.Store(a, 100)
+		a.Store(tx, 100)
 		return nil
 	})
 	close(proceed)
@@ -488,7 +484,7 @@ func TestEarlyReleaseIgnoresConflict(t *testing.T) {
 
 func TestRetryLimit(t *testing.T) {
 	tm := New(WithMaxRetries(3))
-	c := tm.NewCell(0)
+	c := NewTypedCell(tm, 0)
 	hold := make(chan struct{})
 	released := make(chan struct{})
 
@@ -502,8 +498,8 @@ func TestRetryLimit(t *testing.T) {
 			default:
 			}
 			_ = tm.Atomically(Classic, func(tx *Tx) error {
-				v, _ := tx.Load(c).(int)
-				tx.Store(c, v+1)
+				v := c.Load(tx)
+				c.Store(tx, v+1)
 				return nil
 			})
 		}
@@ -524,16 +520,16 @@ func TestRetryLimit(t *testing.T) {
 
 func TestStatsAccounting(t *testing.T) {
 	tm := New()
-	c := tm.NewCell(0)
+	c := NewTypedCell(tm, 0)
 	for i := 0; i < 10; i++ {
 		mustAtomically(t, tm, Classic, func(tx *Tx) error {
-			v, _ := tx.Load(c).(int)
-			tx.Store(c, v+1)
+			v := c.Load(tx)
+			c.Store(tx, v+1)
 			return nil
 		})
 	}
 	mustAtomically(t, tm, Snapshot, func(tx *Tx) error {
-		_ = tx.Load(c)
+		_ = c.Load(tx)
 		return nil
 	})
 	st := tm.Stats()
@@ -550,10 +546,10 @@ func TestStatsAccounting(t *testing.T) {
 
 func TestVersionChainTruncation(t *testing.T) {
 	tm := New(WithMaxVersions(3))
-	c := tm.NewCell(0)
+	c := NewTypedCell(tm, 0)
 	for i := 1; i <= 10; i++ {
 		mustAtomically(t, tm, Classic, func(tx *Tx) error {
-			tx.Store(c, i)
+			c.Store(tx, i)
 			return nil
 		})
 	}
@@ -616,9 +612,9 @@ func TestMixedSemanticsStress(t *testing.T) {
 	// every snapshot and at the end.
 	tm := New()
 	const ncells = 16
-	cells := make([]*Cell, ncells)
+	cells := make([]*TypedCell[int], ncells)
 	for i := range cells {
-		cells[i] = tm.NewCell(0)
+		cells[i] = NewTypedCell(tm, 0)
 	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -650,10 +646,10 @@ func TestMixedSemanticsStress(t *testing.T) {
 					sem = Elastic
 				}
 				_ = tm.Atomically(sem, func(tx *Tx) error {
-					fv, _ := tx.Load(cells[from]).(int)
-					tv, _ := tx.Load(cells[to]).(int)
-					tx.Store(cells[from], fv-1)
-					tx.Store(cells[to], tv+1)
+					fv := cells[from].Load(tx)
+					tv := cells[to].Load(tx)
+					cells[from].Store(tx, fv-1)
+					cells[to].Store(tx, tv+1)
 					return nil
 				})
 			}
@@ -672,7 +668,7 @@ func TestMixedSemanticsStress(t *testing.T) {
 				err := tm.Atomically(Snapshot, func(tx *Tx) error {
 					sum = 0
 					for _, c := range cells {
-						v, _ := tx.Load(c).(int)
+						v := c.Load(tx)
 						sum += v
 					}
 					return nil
@@ -701,7 +697,7 @@ func TestMixedSemanticsStress(t *testing.T) {
 	mustAtomically(t, tm, Classic, func(tx *Tx) error {
 		sum = 0
 		for _, c := range cells {
-			v, _ := tx.Load(c).(int)
+			v := c.Load(tx)
 			sum += v
 		}
 		return nil

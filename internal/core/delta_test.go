@@ -208,7 +208,8 @@ func mustBeginCross(t *testing.T, tm *TM) *CrossTx {
 // waits on the durable-ack barrier, on either commit path.
 func TestDeltaOnlyCommitIsReadOnly(t *testing.T) {
 	acks := 0
-	tm := New(WithDurableAck(func(*Tx) error { acks++; return nil }))
+	tm := New()
+	tm.SetDurableAck(func(*Tx) error { acks++; return nil })
 	c := NewTypedCell(tm, 0)
 	var n atomic.Int64
 	before := tm.ClockNow()

@@ -108,9 +108,9 @@ func TestStatsDerived(t *testing.T) {
 func TestOverlappingMultiCellCommitsProgress(t *testing.T) {
 	tm := New()
 	const n = 6
-	cells := make([]*Cell, n)
+	cells := make([]*TypedCell[int], n)
 	for i := range cells {
-		cells[i] = tm.NewCell(0)
+		cells[i] = NewTypedCell(tm, 0)
 	}
 	done := make(chan error, 4)
 	for w := 0; w < 4; w++ {
@@ -121,8 +121,8 @@ func TestOverlappingMultiCellCommitsProgress(t *testing.T) {
 				a, b, c := (w+i)%n, (w+i+1)%n, (w+i+2)%n
 				err := tm.Atomically(Classic, func(tx *Tx) error {
 					for _, idx := range []int{c, a, b} {
-						v, _ := tx.Load(cells[idx]).(int)
-						tx.Store(cells[idx], v+1)
+						v := cells[idx].Load(tx)
+						cells[idx].Store(tx, v+1)
 					}
 					return nil
 				})
@@ -143,7 +143,7 @@ func TestOverlappingMultiCellCommitsProgress(t *testing.T) {
 	mustAtomically(t, tm, Classic, func(tx *Tx) error {
 		total = 0
 		for _, c := range cells {
-			v, _ := tx.Load(c).(int)
+			v := c.Load(tx)
 			total += v
 		}
 		return nil

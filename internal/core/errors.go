@@ -15,13 +15,6 @@ var (
 	// ErrRetryLimit is returned by Atomically when the transaction aborted
 	// more times than the configured retry limit allows.
 	ErrRetryLimit = errors.New("transaction retry limit exceeded")
-
-	// ErrTxDone is returned when a finished transaction handle is reused
-	// outside its Atomically block.
-	ErrTxDone = errors.New("transaction already finished")
-
-	// ErrNilCell is returned when a nil cell is passed to Load or Store.
-	ErrNilCell = errors.New("nil memory cell")
 )
 
 // AbortReason classifies why a transaction attempt aborted. The runtime

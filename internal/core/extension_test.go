@@ -9,9 +9,9 @@ import "testing"
 func TestReadExtensionAvoidsFalseConflict(t *testing.T) {
 	run := func(extension bool) (attempts int, extensions uint64) {
 		tm := New(WithReadExtension(extension))
-		cells := make([]*Cell, 8)
+		cells := make([]*TypedCell[int], 8)
 		for i := range cells {
-			cells[i] = tm.NewCell(i)
+			cells[i] = NewTypedCell(tm, i)
 		}
 		started := make(chan struct{})
 		proceed := make(chan struct{})
@@ -21,14 +21,14 @@ func TestReadExtensionAvoidsFalseConflict(t *testing.T) {
 			_ = tm.Atomically(Classic, func(tx *Tx) error {
 				attempts++
 				for i := 0; i < 4; i++ {
-					_ = tx.Load(cells[i])
+					_ = cells[i].Load(tx)
 				}
 				if attempts == 1 {
 					close(started)
 					<-proceed
 				}
 				for i := 4; i < len(cells); i++ {
-					_ = tx.Load(cells[i])
+					_ = cells[i].Load(tx)
 				}
 				return nil
 			})
@@ -37,7 +37,7 @@ func TestReadExtensionAvoidsFalseConflict(t *testing.T) {
 		// Modify a cell the parse has NOT read yet: a false conflict
 		// for the parse's past (its old reads are untouched).
 		if err := tm.Atomically(Classic, func(tx *Tx) error {
-			tx.Store(cells[5], 99)
+			cells[5].Store(tx, 99)
 			return nil
 		}); err != nil {
 			t.Fatal(err)
@@ -64,9 +64,9 @@ func TestReadExtensionAvoidsFalseConflict(t *testing.T) {
 // given up.
 func TestReadExtensionCatchesTrueConflict(t *testing.T) {
 	tm := New(WithReadExtension(true))
-	cells := make([]*Cell, 8)
+	cells := make([]*TypedCell[int], 8)
 	for i := range cells {
-		cells[i] = tm.NewCell(i)
+		cells[i] = NewTypedCell(tm, i)
 	}
 	started := make(chan struct{})
 	proceed := make(chan struct{})
@@ -77,14 +77,14 @@ func TestReadExtensionCatchesTrueConflict(t *testing.T) {
 		_ = tm.Atomically(Classic, func(tx *Tx) error {
 			attempts++
 			for i := 0; i < 4; i++ {
-				_ = tx.Load(cells[i])
+				_ = cells[i].Load(tx)
 			}
 			if attempts == 1 {
 				close(started)
 				<-proceed
 			}
 			for i := 4; i < len(cells); i++ {
-				_ = tx.Load(cells[i])
+				_ = cells[i].Load(tx)
 			}
 			return nil
 		})
@@ -93,8 +93,8 @@ func TestReadExtensionCatchesTrueConflict(t *testing.T) {
 	// Modify BOTH a past read and a future read: extension on cells[5]
 	// must fail because cells[0] is stale.
 	if err := tm.Atomically(Classic, func(tx *Tx) error {
-		tx.Store(cells[0], 100)
-		tx.Store(cells[5], 100)
+		cells[0].Store(tx, 100)
+		cells[5].Store(tx, 100)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -111,9 +111,9 @@ func TestReadExtensionCatchesTrueConflict(t *testing.T) {
 func TestReadExtensionStressConsistency(t *testing.T) {
 	tm := New(WithReadExtension(true))
 	const n = 8
-	cells := make([]*Cell, n)
+	cells := make([]*TypedCell[int], n)
 	for i := range cells {
-		cells[i] = tm.NewCell(0)
+		cells[i] = NewTypedCell(tm, 0)
 	}
 	doneCh := make(chan error, 3)
 	for w := 0; w < 3; w++ {
@@ -131,10 +131,10 @@ func TestReadExtensionStressConsistency(t *testing.T) {
 					continue
 				}
 				err := tm.Atomically(Classic, func(tx *Tx) error {
-					fv, _ := tx.Load(cells[from]).(int)
-					tv, _ := tx.Load(cells[to]).(int)
-					tx.Store(cells[from], fv-1)
-					tx.Store(cells[to], tv+1)
+					fv := cells[from].Load(tx)
+					tv := cells[to].Load(tx)
+					cells[from].Store(tx, fv-1)
+					cells[to].Store(tx, tv+1)
 					return nil
 				})
 				if err != nil {
@@ -154,7 +154,7 @@ func TestReadExtensionStressConsistency(t *testing.T) {
 	mustAtomically(t, tm, Snapshot, func(tx *Tx) error {
 		sum = 0
 		for _, c := range cells {
-			v, _ := tx.Load(c).(int)
+			v := c.Load(tx)
 			sum += v
 		}
 		return nil

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -26,9 +27,9 @@ func (killerCM) OnAbort(*Tx)  {}
 func TestKillStormPreservesInvariants(t *testing.T) {
 	tm := New(WithContentionManager(killerCM{}), WithSpinBudget(0))
 	const ncells = 8
-	cells := make([]*Cell, ncells)
+	cells := make([]*TypedCell[int], ncells)
 	for i := range cells {
-		cells[i] = tm.NewCell(0)
+		cells[i] = NewTypedCell(tm, 0)
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < 6; w++ {
@@ -48,10 +49,10 @@ func TestKillStormPreservesInvariants(t *testing.T) {
 					continue
 				}
 				err := tm.Atomically(Classic, func(tx *Tx) error {
-					fv, _ := tx.Load(cells[from]).(int)
-					tv, _ := tx.Load(cells[to]).(int)
-					tx.Store(cells[from], fv-1)
-					tx.Store(cells[to], tv+1)
+					fv := cells[from].Load(tx)
+					tv := cells[to].Load(tx)
+					cells[from].Store(tx, fv-1)
+					cells[to].Store(tx, tv+1)
 					return nil
 				})
 				if err != nil {
@@ -66,7 +67,7 @@ func TestKillStormPreservesInvariants(t *testing.T) {
 	mustAtomically(t, tm, Classic, func(tx *Tx) error {
 		sum = 0
 		for _, c := range cells {
-			v, _ := tx.Load(c).(int)
+			v := c.Load(tx)
 			sum += v
 		}
 		return nil
@@ -88,7 +89,7 @@ func TestKillStormPreservesInvariants(t *testing.T) {
 	mustAtomically(t, tm, Classic, func(tx *Tx) error {
 		sum = 0
 		for _, c := range cells {
-			v, _ := tx.Load(c).(int)
+			v := c.Load(tx)
 			sum += v
 		}
 		return nil
@@ -101,7 +102,7 @@ func TestKillStormPreservesInvariants(t *testing.T) {
 // forceDeterministicKill parks a transaction mid-attempt, kills it from
 // outside, and lets it retry to commit: the cooperative-kill path without
 // any reliance on scheduling luck.
-func forceDeterministicKill(t *testing.T, tm *TM, cells []*Cell) {
+func forceDeterministicKill(t *testing.T, tm *TM, cells []*TypedCell[int]) {
 	t.Helper()
 	parked := make(chan *Tx)
 	release := make(chan struct{})
@@ -115,12 +116,12 @@ func forceDeterministicKill(t *testing.T, tm *TM, cells []*Cell) {
 			// Enough accesses that the periodic kill check runs even if
 			// commit-time checking were the only other kill point.
 			for i := 0; i < 2*flushEvery; i++ {
-				_ = tx.Load(cells[i%len(cells)])
+				_ = (cells[i%len(cells)]).Load(tx)
 			}
-			v, _ := tx.Load(cells[0]).(int)
-			tx.Store(cells[0], v+1)
-			w, _ := tx.Load(cells[1]).(int)
-			tx.Store(cells[1], w-1)
+			v := cells[0].Load(tx)
+			cells[0].Store(tx, v+1)
+			w := cells[1].Load(tx)
+			cells[1].Store(tx, w-1)
 			return nil
 		})
 	}()
@@ -137,8 +138,8 @@ func forceDeterministicKill(t *testing.T, tm *TM, cells []*Cell) {
 // values restored on unlock).
 func TestAbortRestoresLockedCells(t *testing.T) {
 	tm := New()
-	a := tm.NewCell(100)
-	b := tm.NewCell(200)
+	a := NewTypedCell(tm, 100)
+	b := NewTypedCell(tm, 200)
 
 	// Transaction reads a, then we invalidate a behind its back before
 	// it commits a write to b: validation must fail, and b must keep its
@@ -152,19 +153,19 @@ func TestAbortRestoresLockedCells(t *testing.T) {
 		defer close(done)
 		_ = tm.Atomically(Classic, func(tx *Tx) error {
 			attempts++
-			_ = tx.Load(a)
+			_ = a.Load(tx)
 			if attempts == 1 {
 				close(started)
 				<-proceed
 			}
-			v, _ := tx.Load(b).(int)
-			tx.Store(b, v+1)
+			v := b.Load(tx)
+			b.Store(tx, v+1)
 			return nil
 		})
 	}()
 	<-started
 	mustAtomically(t, tm, Classic, func(tx *Tx) error {
-		tx.Store(a, 101)
+		a.Store(tx, 101)
 		return nil
 	})
 	close(proceed)
@@ -184,9 +185,9 @@ func TestQuickTransferConservation(t *testing.T) {
 	prop := func(moves []uint16, ncells8 uint8) bool {
 		ncells := int(ncells8%6) + 2
 		tm := New()
-		cells := make([]*Cell, ncells)
+		cells := make([]*TypedCell[int], ncells)
 		for i := range cells {
-			cells[i] = tm.NewCell(int(ncells8))
+			cells[i] = NewTypedCell(tm, int(ncells8))
 		}
 		var wg sync.WaitGroup
 		// Split moves across 2 workers for real concurrency.
@@ -207,10 +208,10 @@ func TestQuickTransferConservation(t *testing.T) {
 						sem = Elastic
 					}
 					_ = tm.Atomically(sem, func(tx *Tx) error {
-						fv, _ := tx.Load(cells[from]).(int)
-						tv, _ := tx.Load(cells[to]).(int)
-						tx.Store(cells[from], fv-1)
-						tx.Store(cells[to], tv+1)
+						fv := cells[from].Load(tx)
+						tv := cells[to].Load(tx)
+						cells[from].Store(tx, fv-1)
+						cells[to].Store(tx, tv+1)
 						return nil
 					})
 				}
@@ -221,7 +222,7 @@ func TestQuickTransferConservation(t *testing.T) {
 		_ = tm.Atomically(Snapshot, func(tx *Tx) error {
 			sum = 0
 			for _, c := range cells {
-				v, _ := tx.Load(c).(int)
+				v := c.Load(tx)
 				sum += v
 			}
 			return nil
@@ -237,7 +238,7 @@ func TestQuickTransferConservation(t *testing.T) {
 // increasing counter never observe it going backwards.
 func TestSnapshotMonotonicity(t *testing.T) {
 	tm := New()
-	c := tm.NewCell(0)
+	c := NewTypedCell(tm, 0)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -250,8 +251,8 @@ func TestSnapshotMonotonicity(t *testing.T) {
 			default:
 			}
 			_ = tm.Atomically(Classic, func(tx *Tx) error {
-				v, _ := tx.Load(c).(int)
-				tx.Store(c, v+1)
+				v := c.Load(tx)
+				c.Store(tx, v+1)
 				return nil
 			})
 		}
@@ -260,7 +261,7 @@ func TestSnapshotMonotonicity(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		var v int
 		if err := tm.Atomically(Snapshot, func(tx *Tx) error {
-			v, _ = tx.Load(c).(int)
+			v = c.Load(tx)
 			return nil
 		}); err != nil {
 			close(stop)
@@ -282,7 +283,7 @@ func TestSnapshotMonotonicity(t *testing.T) {
 // exercise several abort reasons and confirms the stats classify them.
 func TestHotCellAbortClassification(t *testing.T) {
 	tm := New(WithSpinBudget(1))
-	hot := tm.NewCell(0)
+	hot := NewTypedCell(tm, 0)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -291,8 +292,8 @@ func TestHotCellAbortClassification(t *testing.T) {
 			deadline := time.Now().Add(50 * time.Millisecond)
 			for time.Now().Before(deadline) {
 				_ = tm.Atomically(Classic, func(tx *Tx) error {
-					v, _ := tx.Load(hot).(int)
-					tx.Store(hot, v+1)
+					v := hot.Load(tx)
+					hot.Store(tx, v+1)
 					return nil
 				})
 			}
@@ -317,13 +318,13 @@ func TestHotCellAbortClassification(t *testing.T) {
 // nil) must not corrupt the transaction.
 func TestReleaseOfUnreadCellIsHarmless(t *testing.T) {
 	tm := New()
-	a := tm.NewCell(1)
-	b := tm.NewCell(2)
+	a := NewTypedCell(tm, 1)
+	b := NewTypedCell(tm, 2)
 	mustAtomically(t, tm, Classic, func(tx *Tx) error {
-		tx.Release(b)   // never read
-		tx.Release(nil) // nil cell
-		v, _ := tx.Load(a).(int)
-		tx.Store(a, v+1)
+		b.Release(tx)                      // never read
+		(*TypedCell[int])(nil).Release(tx) // nil cell
+		v := a.Load(tx)
+		a.Store(tx, v+1)
 		return nil
 	})
 	if got := loadInt(t, tm, a); got != 2 {
@@ -331,12 +332,56 @@ func TestReleaseOfUnreadCellIsHarmless(t *testing.T) {
 	}
 }
 
+// TestMisusePanics is the misuse contract: a nil cell and a handle kept
+// past its Atomically call are programming errors, and the runtime fails
+// loudly — the panic leaves Atomically unchanged — rather than returning
+// an error or corrupting memory.
+func TestMisusePanics(t *testing.T) {
+	tm := New()
+	var nilCell *TypedCell[int]
+	c := NewTypedCell(tm, 0)
+	// keep returns a handle retained past its committed Atomically call.
+	keep := func() (kept *Tx) {
+		mustAtomically(t, tm, Classic, func(tx *Tx) error { kept = tx; return nil })
+		return kept
+	}
+	inTx := func(fn func(tx *Tx)) func() {
+		return func() {
+			_ = tm.Atomically(Classic, func(tx *Tx) error { fn(tx); return nil })
+		}
+	}
+	const stale = "core: transaction handle used outside its Atomically block"
+	for _, tc := range []struct {
+		name, want string
+		fn         func()
+	}{
+		{"Load/nil cell", "core: Load of nil cell", inTx(func(tx *Tx) { nilCell.Load(tx) })},
+		{"Store/nil cell", "core: Store to nil cell", inTx(func(tx *Tx) { nilCell.Store(tx, 1) })},
+		{"StoreFinal/nil cell", "core: StoreFinal to nil cell", inTx(func(tx *Tx) { nilCell.StoreFinal(tx, 1) })},
+		{"LoadVersioned/nil cell", "core: LoadVersioned of nil cell", inTx(func(tx *Tx) { nilCell.LoadVersioned(tx) })},
+		{"Load/stale handle", stale, func() { c.Load(keep()) }},
+		{"Store/stale handle", stale, func() { c.Store(keep(), 1) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if msg := fmt.Sprint(recover()); msg != tc.want {
+					t.Fatalf("panic %q, want %q", msg, tc.want)
+				}
+			}()
+			tc.fn()
+		})
+	}
+	if got := loadInt(t, tm, c); got != 0 {
+		t.Fatalf("cell = %d after misuse, want 0", got)
+	}
+}
+
 // TestRereadAfterRelease: a cell read again after release re-enters the
 // read set and is validated again.
 func TestRereadAfterRelease(t *testing.T) {
 	tm := New()
-	a := tm.NewCell(1)
-	out := tm.NewCell(0)
+	a := NewTypedCell(tm, 1)
+	out := NewTypedCell(tm, 0)
 	started := make(chan struct{})
 	proceed := make(chan struct{})
 	attempts := 0
@@ -345,20 +390,20 @@ func TestRereadAfterRelease(t *testing.T) {
 		defer close(done)
 		_ = tm.Atomically(Classic, func(tx *Tx) error {
 			attempts++
-			_ = tx.Load(a)
-			tx.Release(a)
+			_ = a.Load(tx)
+			a.Release(tx)
 			if attempts == 1 {
 				close(started)
 				<-proceed
 			}
-			v, _ := tx.Load(a).(int) // re-read: fresh dependency
-			tx.Store(out, v)
+			v := a.Load(tx) // re-read: fresh dependency
+			out.Store(tx, v)
 			return nil
 		})
 	}()
 	<-started
 	mustAtomically(t, tm, Classic, func(tx *Tx) error {
-		tx.Store(a, 50)
+		a.Store(tx, 50)
 		return nil
 	})
 	close(proceed)

@@ -7,11 +7,11 @@ import (
 
 func TestDeferCommitHookRunsOnce(t *testing.T) {
 	tm := New()
-	c := tm.NewCell(0)
+	c := NewTypedCell(tm, 0)
 	committed := 0
 	aborted := 0
 	mustAtomically(t, tm, Classic, func(tx *Tx) error {
-		tx.Store(c, 1)
+		c.Store(tx, 1)
 		tx.Defer(func() { committed++ }, func() { aborted++ })
 		return nil
 	})
@@ -42,7 +42,7 @@ func TestDeferHooksPerAttempt(t *testing.T) {
 	// A retried attempt must compensate its own hooks and re-register on
 	// the next run; only the committing attempt's commit hook fires.
 	tm := New()
-	c := tm.NewCell(0)
+	c := NewTypedCell(tm, 0)
 	commitRuns := 0
 	abortRuns := 0
 	attempts := 0
@@ -52,7 +52,7 @@ func TestDeferHooksPerAttempt(t *testing.T) {
 		if attempts == 1 {
 			tx.Restart()
 		}
-		_ = tx.Load(c)
+		_ = c.Load(tx)
 		return nil
 	})
 	if attempts != 2 {
@@ -68,8 +68,8 @@ func TestDeferHooksPerAttempt(t *testing.T) {
 
 func TestDeferAbortHookOnValidationFailure(t *testing.T) {
 	tm := New()
-	a := tm.NewCell(0)
-	b := tm.NewCell(0)
+	a := NewTypedCell(tm, 0)
+	b := NewTypedCell(tm, 0)
 	started := make(chan struct{})
 	proceed := make(chan struct{})
 	attempts := 0
@@ -80,19 +80,19 @@ func TestDeferAbortHookOnValidationFailure(t *testing.T) {
 		_ = tm.Atomically(Classic, func(tx *Tx) error {
 			attempts++
 			tx.Defer(nil, func() { abortHooks++ })
-			_ = tx.Load(a)
+			_ = a.Load(tx)
 			if attempts == 1 {
 				close(started)
 				<-proceed
 			}
-			v, _ := tx.Load(b).(int)
-			tx.Store(b, v+1)
+			v := b.Load(tx)
+			b.Store(tx, v+1)
 			return nil
 		})
 	}()
 	<-started
 	mustAtomically(t, tm, Classic, func(tx *Tx) error {
-		tx.Store(a, 1)
+		a.Store(tx, 1)
 		return nil
 	})
 	close(proceed)

@@ -289,10 +289,6 @@ const PrivatizeGuardsEnabled = raceEnabled
 // p.Republish. A no-op in normal builds.
 func (c *TypedCell[T]) MarkDetached(p *Private) { p.guardCell(&c.h) }
 
-// MarkDetached registers the untyped cell as part of p's detached
-// region; see TypedCell.MarkDetached.
-func (c *Cell) MarkDetached(p *Private) { p.guardCell(&c.h) }
-
 // LoadDetached reads the cell with a plain load under a detached view:
 // no transaction, no version sampling, no read-set bookkeeping, and zero
 // allocations for word- and pointer-shaped T. Valid only between
@@ -319,16 +315,6 @@ func (c *TypedCell[T]) LoadDetached(p *Private) T {
 		}
 		return r.ref.(T)
 	}
-}
-
-// LoadDetached reads the untyped cell with a plain load under a detached
-// view; see TypedCell.LoadDetached.
-func (c *Cell) LoadDetached(p *Private) any {
-	r := c.h.cur.Load()
-	if raceEnabled {
-		p.checkDetachedRead(&c.h, r)
-	}
-	return r.load(c.h.shape).ref
 }
 
 // privGuard is the TM-wide registry of currently detached cells, active

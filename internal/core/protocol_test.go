@@ -19,7 +19,7 @@ func (waiterCM) OnAbort(*Tx)                        {}
 
 func TestSnapshotWaitsOutHeldLock(t *testing.T) {
 	tm := New(WithContentionManager(waiterCM{}))
-	c := tm.NewCell(10)
+	c := NewTypedCell(tm, 10)
 	holder := newTx(tm, Classic)
 	holder.beginAttempt()
 	if _, ok := c.h.tryLock(holder); !ok {
@@ -30,7 +30,7 @@ func TestSnapshotWaitsOutHeldLock(t *testing.T) {
 	go func() {
 		var v int
 		_ = tm.Atomically(Snapshot, func(tx *Tx) error {
-			v, _ = tx.Load(c).(int)
+			v = c.Load(tx)
 			return nil
 		})
 		got <- v
@@ -47,7 +47,7 @@ func TestSnapshotWaitsOutHeldLock(t *testing.T) {
 	// Publish a new version and release; the snapshot started before the
 	// writer's version draw, so it reads the OLD value from the chain.
 	wv := tm.clock.Advance()
-	c.h.install(vbox{ref: 20}, wv, tm.keepVersions, noPinWatermark)
+	c.h.install(encodeVal(c.h.shape, 20), wv, tm.keepVersions, noPinWatermark)
 	c.h.unlock(wv)
 	select {
 	case v := <-got:
@@ -62,7 +62,7 @@ func TestSnapshotWaitsOutHeldLock(t *testing.T) {
 
 func TestClassicReadWaitsThenProceeds(t *testing.T) {
 	tm := New()
-	c := tm.NewCell(1)
+	c := NewTypedCell(tm, 1)
 	holder := newTx(tm, Classic)
 	holder.beginAttempt()
 	if _, ok := c.h.tryLock(holder); !ok {
@@ -72,7 +72,7 @@ func TestClassicReadWaitsThenProceeds(t *testing.T) {
 	go func() {
 		var v int
 		_ = tm.Atomically(Classic, func(tx *Tx) error {
-			v, _ = tx.Load(c).(int)
+			v = c.Load(tx)
 			return nil
 		})
 		done <- v
@@ -98,7 +98,7 @@ func TestClassicReadWaitsThenProceeds(t *testing.T) {
 
 func TestTryLockRefusesHeldCell(t *testing.T) {
 	tm := New()
-	c := tm.NewCell(0)
+	c := NewTypedCell(tm, 0)
 	a := newTx(tm, Classic)
 	b := newTx(tm, Classic)
 	a.beginAttempt()
@@ -123,10 +123,10 @@ func TestTryLockRefusesHeldCell(t *testing.T) {
 
 func TestUnlockRestoresVersionOnAbort(t *testing.T) {
 	tm := New()
-	c := tm.NewCell("x")
+	c := NewTypedCell(tm, "x")
 	// Commit once so the version is non-zero.
 	mustAtomically(t, tm, Classic, func(tx *Tx) error {
-		tx.Store(c, "y")
+		c.Store(tx, "y")
 		return nil
 	})
 	verBefore := version(c.h.meta.Load())
@@ -151,7 +151,7 @@ func TestUnlockRestoresVersionOnAbort(t *testing.T) {
 
 func TestSampleAtDetectsLock(t *testing.T) {
 	tm := New()
-	c := tm.NewCell(5)
+	c := NewTypedCell(tm, 5)
 	if _, _, _, ok, _ := c.h.sampleAt(^uint64(0)); !ok {
 		t.Fatal("sampleAt of a quiescent cell failed")
 	}
@@ -189,8 +189,8 @@ func TestRetireRecyclesTypedRecords(t *testing.T) {
 		t.Fatalf("8 installs touched %d distinct records, want <= %d (recycling)",
 			len(seen), tm.keepVersions+1)
 	}
-	// An untyped (ref-shaped) cell must NOT recycle: records are immutable.
-	u := tm.NewCell(0)
+	// A ref-shaped cell must NOT recycle: records are immutable.
+	u := NewTypedCell[any](tm, 0)
 	useen := make(map[*rec]bool)
 	for i := 1; i <= 8; i++ {
 		wv := tm.clock.Advance()
@@ -211,7 +211,7 @@ func TestRetireRecyclesTypedRecords(t *testing.T) {
 
 func TestInstallKeepsConfiguredDepth(t *testing.T) {
 	tm := New(WithMaxVersions(3))
-	c := tm.NewCell(0)
+	c := NewTypedCell[any](tm, 0)
 	for i := 1; i <= 6; i++ {
 		wv := tm.clock.Advance()
 		tx := newTx(tm, Classic)

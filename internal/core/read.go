@@ -2,25 +2,9 @@ package core
 
 import "runtime"
 
-// Load returns the current value of c as observed under the transaction's
-// semantics. Reads of cells the transaction has already written return the
-// buffered value (read-your-writes).
-//
-// Load never returns an inconsistent value: attempts that observe a
-// conflict are unwound and retried by Atomically.
-//
-// Load is the untyped entry point; TypedCell.Load / LoadT are the typed
-// equivalents sharing the same engine (tx.load).
-func (tx *Tx) Load(c *Cell) any {
-	if c == nil {
-		panic("core: Load of nil cell")
-	}
-	return tx.load(&c.h).ref
-}
-
-// load is the shared read engine under every Load entry point, typed and
-// untyped: it consults the write set, then dispatches on the transaction's
-// semantics. It returns the payload still encoded; the caller decodes.
+// load is the shared read engine under TypedCell.Load for every T: it
+// consults the write set, then dispatches on the transaction's semantics.
+// It returns the payload still encoded; the caller decodes.
 func (tx *Tx) load(c *cell) vbox {
 	tx.checkUsable()
 	tx.step()

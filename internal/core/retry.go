@@ -43,8 +43,7 @@ var errBlockRetry = errors.New("internal: blocking retry")
 // condition-variable of the transactional world:
 //
 //	err := tm.Atomically(core.Classic, func(tx *core.Tx) error {
-//		v, _ := tx.Load(queueHead).(*node)
-//		if v == nil {
+//		if queueHead.Load(tx) == nil {
 //			tx.Retry() // sleep until someone enqueues
 //		}
 //		...

@@ -10,13 +10,13 @@ import (
 
 func TestRetryBlocksUntilChange(t *testing.T) {
 	tm := New()
-	flag := tm.NewCell(false)
+	flag := NewTypedCell(tm, false)
 	got := make(chan int, 1)
 	go func() {
 		var woke int
 		err := tm.Atomically(Classic, func(tx *Tx) error {
 			woke++
-			v, _ := tx.Load(flag).(bool)
+			v := flag.Load(tx)
 			if !v {
 				tx.Retry()
 			}
@@ -30,7 +30,7 @@ func TestRetryBlocksUntilChange(t *testing.T) {
 	// Give the waiter time to block, then flip the flag.
 	time.Sleep(5 * time.Millisecond)
 	mustAtomically(t, tm, Classic, func(tx *Tx) error {
-		tx.Store(flag, true)
+		flag.Store(tx, true)
 		return nil
 	})
 	select {
@@ -56,10 +56,10 @@ func TestRetryWithEmptyReadSetFails(t *testing.T) {
 
 func TestRetryOutsideClassicFails(t *testing.T) {
 	tm := New()
-	c := tm.NewCell(0)
+	c := NewTypedCell(tm, 0)
 	for _, sem := range []Semantics{Elastic, Snapshot} {
 		err := tm.Atomically(sem, func(tx *Tx) error {
-			_ = tx.Load(c)
+			_ = c.Load(tx)
 			tx.Retry()
 			return nil
 		})
@@ -71,12 +71,12 @@ func TestRetryOutsideClassicFails(t *testing.T) {
 
 func TestRetryCtxCancel(t *testing.T) {
 	tm := New()
-	c := tm.NewCell(0)
+	c := NewTypedCell(tm, 0)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
 		done <- tm.AtomicallyCtx(ctx, Classic, func(tx *Tx) error {
-			_ = tx.Load(c)
+			_ = c.Load(tx)
 			tx.Retry()
 			return nil
 		})
@@ -112,11 +112,11 @@ func TestAtomicallyCtxPreCancelled(t *testing.T) {
 
 func TestOrElseFirstBranchWins(t *testing.T) {
 	tm := New()
-	a := tm.NewCell(1)
+	a := NewTypedCell(tm, 1)
 	var from string
 	err := tm.OrElse(
 		func(tx *Tx) error {
-			if v, _ := tx.Load(a).(int); v == 1 {
+			if v := a.Load(tx); v == 1 {
 				from = "first"
 				return nil
 			}
@@ -138,19 +138,19 @@ func TestOrElseFirstBranchWins(t *testing.T) {
 
 func TestOrElseFallsThrough(t *testing.T) {
 	tm := New()
-	a := tm.NewCell(0) // first branch wants 1
-	b := tm.NewCell(9)
+	a := NewTypedCell(tm, 0) // first branch wants 1
+	b := NewTypedCell(tm, 9)
 	var got int
 	err := tm.OrElse(
 		func(tx *Tx) error {
-			if v, _ := tx.Load(a).(int); v != 1 {
+			if v := a.Load(tx); v != 1 {
 				tx.Retry()
 			}
 			got = 1
 			return nil
 		},
 		func(tx *Tx) error {
-			got, _ = tx.Load(b).(int)
+			got = b.Load(tx)
 			return nil
 		},
 	)
@@ -164,12 +164,12 @@ func TestOrElseFallsThrough(t *testing.T) {
 
 func TestOrElseDiscardsRetriedBranchWrites(t *testing.T) {
 	tm := New()
-	gate := tm.NewCell(false)
-	scratch := tm.NewCell(0)
+	gate := NewTypedCell(tm, false)
+	scratch := NewTypedCell(tm, 0)
 	err := tm.OrElse(
 		func(tx *Tx) error {
-			tx.Store(scratch, 99) // must be rolled back
-			if v, _ := tx.Load(gate).(bool); !v {
+			scratch.Store(tx, 99) // must be rolled back
+			if v := gate.Load(tx); !v {
 				tx.Retry()
 			}
 			return nil
@@ -186,21 +186,21 @@ func TestOrElseDiscardsRetriedBranchWrites(t *testing.T) {
 
 func TestOrElseAllBranchesRetryThenWake(t *testing.T) {
 	tm := New()
-	a := tm.NewCell(false)
-	b := tm.NewCell(false)
+	a := NewTypedCell(tm, false)
+	b := NewTypedCell(tm, false)
 	var winner string
 	done := make(chan error, 1)
 	go func() {
 		done <- tm.OrElse(
 			func(tx *Tx) error {
-				if v, _ := tx.Load(a).(bool); !v {
+				if v := a.Load(tx); !v {
 					tx.Retry()
 				}
 				winner = "a"
 				return nil
 			},
 			func(tx *Tx) error {
-				if v, _ := tx.Load(b).(bool); !v {
+				if v := b.Load(tx); !v {
 					tx.Retry()
 				}
 				winner = "b"
@@ -212,7 +212,7 @@ func TestOrElseAllBranchesRetryThenWake(t *testing.T) {
 	// Waking the SECOND branch's condition must suffice: the union of
 	// both branches' reads is the wait set.
 	mustAtomically(t, tm, Classic, func(tx *Tx) error {
-		tx.Store(b, true)
+		b.Store(tx, true)
 		return nil
 	})
 	select {
@@ -253,31 +253,31 @@ func TestOrElseUserError(t *testing.T) {
 func TestBlockingQueuePattern(t *testing.T) {
 	tm := New()
 	const capacity = 4
-	items := tm.NewCell([]int(nil)) // slice-valued cell: small bounded buffer
+	items := NewTypedCell(tm, []int(nil)) // slice-valued cell: small bounded buffer
 	put := func(v int) error {
 		return tm.Atomically(Classic, func(tx *Tx) error {
-			cur, _ := tx.Load(items).([]int)
+			cur := items.Load(tx)
 			if len(cur) >= capacity {
 				tx.Retry()
 			}
 			next := make([]int, len(cur)+1)
 			copy(next, cur)
 			next[len(cur)] = v
-			tx.Store(items, next)
+			items.Store(tx, next)
 			return nil
 		})
 	}
 	take := func() (int, error) {
 		var v int
 		err := tm.Atomically(Classic, func(tx *Tx) error {
-			cur, _ := tx.Load(items).([]int)
+			cur := items.Load(tx)
 			if len(cur) == 0 {
 				tx.Retry()
 			}
 			v = cur[0]
 			rest := make([]int, len(cur)-1)
 			copy(rest, cur[1:])
-			tx.Store(items, rest)
+			items.Store(tx, rest)
 			return nil
 		})
 		return v, err

@@ -340,18 +340,18 @@ func TestPinWatermarkUnderChurn(t *testing.T) {
 	}
 }
 
-// TestWaitSetDedup pins the typed wait-set dedup: a cell read twice —
-// typed or untyped — registers exactly one waiter, and the retained entry
+// TestWaitSetDedup pins the wait-set dedup: a cell read twice — word- or
+// ref-shaped — registers exactly one waiter, and the retained entry
 // carries the newest observed version.
 func TestWaitSetDedup(t *testing.T) {
 	tm := New()
-	typed := NewTypedCell(tm, 1)
-	untyped := tm.NewCell(2)
+	word := NewTypedCell(tm, 1)
+	ref := NewTypedCell[any](tm, 2)
 	tx := newTx(tm, Classic)
 	tx.beginAttempt()
 	for i := 0; i < 3; i++ {
-		typed.Load(tx)
-		_ = tx.Load(untyped)
+		word.Load(tx)
+		_ = ref.Load(tx)
 	}
 	if len(tx.reads) != 6 {
 		t.Fatalf("read set has %d entries, want 6 (dedup happens at capture, not on the read path)", len(tx.reads))

@@ -53,8 +53,9 @@ type TM struct {
 	// txPool recycles Tx handles (and their read/write/window sets) across
 	// Atomically calls: with it, a read-only transaction allocates nothing.
 	txPool sync.Pool
-	// cellIDs recycles *cellIDBlock allocators so NewCell touches the
-	// global counter once per cellIDBatch cells instead of every call.
+	// cellIDs recycles *cellIDBlock allocators so cell initialization
+	// touches the global counter once per cellIDBatch cells instead of
+	// every call.
 	cellIDs sync.Pool
 }
 
@@ -176,26 +177,23 @@ func WithReadExtension(on bool) Option {
 	return func(tm *TM) { tm.extendReads = on }
 }
 
-// WithDurableAck installs a durability barrier on Atomically: after an
-// UPDATE transaction commits and its Defer commit hooks have run, the TM
-// invokes ack and Atomically does not return until it does. The intended
-// shape is write-ahead logging (internal/persistmap's WAL): a commit hook
-// streams the committed write set, stamped with Tx.CommitVersion, into a
-// group-commit daemon, and ack blocks the committer until the daemon has
-// fsynced the record — many concurrent committers parked in their acks
-// amortize into one fsync. ack runs outside any transaction; the handle is
-// valid for CommitVersion/ID/Semantics reads only. A non-nil error reports
-// a durability failure for an already-committed transaction — the memory
-// effect stands, the caller must not assume it survives a crash — and is
-// returned from Atomically verbatim. Read-only commits skip the barrier.
-func WithDurableAck(ack func(tx *Tx) error) Option {
-	return func(tm *TM) { tm.durableAck = ack }
-}
-
-// SetDurableAck installs (or, with nil, removes) the WithDurableAck
-// barrier on an existing TM — the attach point for a durability layer
-// constructed after the TM, like a persistent map opening its WAL. It is
-// not synchronized: call it during setup, before transactions run
+// SetDurableAck installs (or, with nil, removes) a durability barrier on
+// Atomically: after an UPDATE transaction commits and its Defer commit
+// hooks have run, the TM invokes ack and Atomically does not return until
+// it does. The intended shape is write-ahead logging (internal/persistmap's
+// WAL): a commit hook streams the committed write set, stamped with
+// Tx.CommitVersion, into a group-commit daemon, and ack blocks the
+// committer until the daemon has fsynced the record — many concurrent
+// committers parked in their acks amortize into one fsync. ack runs
+// outside any transaction; the handle is valid for CommitVersion/ID/
+// Semantics reads only. A non-nil error reports a durability failure for
+// an already-committed transaction — the memory effect stands, the caller
+// must not assume it survives a crash — and is returned from Atomically
+// verbatim. Read-only commits skip the barrier.
+//
+// SetDurableAck is the attach point for a durability layer constructed
+// after the TM, like a persistent map opening its WAL. It is not
+// synchronized: call it during setup, before transactions run
 // concurrently.
 func (tm *TM) SetDurableAck(ack func(tx *Tx) error) { tm.durableAck = ack }
 
@@ -215,24 +213,9 @@ func New(opts ...Option) *TM {
 	return tm
 }
 
-// NewCell allocates an untyped transactional memory location holding
-// initial. The cell starts at version 0, readable by every transaction.
-// Homogeneous hot paths should prefer NewTypedCell, whose specialized
-// representation keeps the update path allocation-free.
-//
-// Cell IDs are drawn from pooled blocks, so IDs are unique and totally
-// ordered (all the commit lock order needs) but not dense in creation
-// order.
-func (tm *TM) NewCell(initial any) *Cell {
-	c := &Cell{}
-	tm.initCell(&c.h, shapeRef, vbox{ref: initial})
-	return c
-}
-
 // initCell stamps a zero cell engine with its identity, shape and initial
 // version-0 record — the embedded first record, except for ref-shaped
-// cells (see rec). It is the single construction point under NewCell and
-// InitTypedCell.
+// cells (see rec). It is the construction point under InitTypedCell.
 func (tm *TM) initCell(c *cell, shape cellShape, v vbox) {
 	b, _ := tm.cellIDs.Get().(*cellIDBlock)
 	if b == nil {

@@ -19,8 +19,8 @@ const (
 // readEntry remembers one validated read: the cell and the version whose
 // value the transaction observed. Validation is exact-version: the entry is
 // valid as long as the cell still carries that version. Entries reference
-// the untyped cell engine, so reads of Cell and every TypedCell[T]
-// instantiation land in one homogeneous read set.
+// the untyped cell engine, so reads of every TypedCell[T] instantiation
+// land in one homogeneous read set.
 type readEntry struct {
 	cell *cell
 	ver  uint64
@@ -344,21 +344,7 @@ func (tx *Tx) Restart() {
 	tx.abort(AbortExplicit)
 }
 
-// Release performs an early release (section 4.1 of the paper): the cell is
-// dropped from the read set and window, so future conflicts on it are
-// ignored. This is the expert-only escape hatch; releasing a location that
-// a composed caller still depends on breaks atomicity of the composition —
-// the documented addIfAbsent anomaly, demonstrated in the tests.
-func (tx *Tx) Release(c *Cell) {
-	if c == nil {
-		tx.checkUsable()
-		return
-	}
-	tx.release(&c.h)
-}
-
-// release is the shared early-release engine under Tx.Release and
-// TypedCell.Release.
+// release is the early-release engine under TypedCell.Release.
 func (tx *Tx) release(c *cell) {
 	tx.checkUsable()
 	if tx.released == nil {

@@ -11,17 +11,16 @@ import (
 // currency. Everything below the boundary — the three read semantics, the
 // contention manager, the recorder, the commit path — runs one shared code
 // path for every instantiation, which is what keeps the polymorphic
-// runtime's guarantees uniform across typed and untyped cells.
+// runtime's guarantees uniform across cell types.
 
-// TypedCell is a typed transactional memory location: the generics-
-// specialized counterpart of Cell. For word-sized pointer-free T (int,
-// bool, float64, small value structs) and single-pointer T (*S, map, chan,
-// func) the payload is stored in specialized record fields instead of an
-// `any`, so the update path neither boxes on Store nor allocates a version
-// record on commit: a warm update transaction over typed cells is
-// allocation-free. Other T (strings, interfaces, multi-word structs) fall
-// back to the boxed representation and cost exactly what an untyped Cell
-// costs.
+// TypedCell is a transactional memory location holding a T. For word-sized
+// pointer-free T (int, bool, float64, small value structs) and
+// single-pointer T (*S, map, chan, func) the payload is stored in
+// specialized record fields instead of an `any`, so the update path
+// neither boxes on Store nor allocates a version record on commit: a warm
+// update transaction over such cells is allocation-free. Other T (strings,
+// interfaces, multi-word structs) fall back to the boxed representation;
+// TypedCell[any] is the cell for heterogeneous values.
 //
 // A TypedCell is either allocated on its own by NewTypedCell or embedded
 // by value in a larger structure — a tree node's links, say — and
@@ -29,14 +28,18 @@ import (
 // one allocation. Either way it is used only with transactions of the TM
 // that initialized it, and never copied after initialization (go vet's
 // copylocks check reports copies, through the cell's atomic fields).
-// Typed and untyped cells interoperate freely inside one transaction:
-// they share the engine, the clock, and every semantics.
+// Cells of every T interoperate freely inside one transaction: they share
+// the engine, the clock, and every semantics.
 type TypedCell[T any] struct {
 	h cell
 }
 
-// NewTypedCell allocates a typed transactional memory location holding
-// initial. The cell starts at version 0, readable by every transaction.
+// NewTypedCell allocates a transactional memory location holding initial.
+// The cell starts at version 0, readable by every transaction.
+//
+// Cell IDs are drawn from pooled blocks, so IDs are unique and totally
+// ordered (all the commit lock order needs) but not dense in creation
+// order.
 func NewTypedCell[T any](tm *TM, initial T) *TypedCell[T] {
 	c := new(TypedCell[T])
 	InitTypedCell(tm, c, initial)
@@ -61,6 +64,9 @@ func (c *TypedCell[T]) ID() uint64 { return c.h.id }
 // Load returns the cell's value as observed by tx under its semantics,
 // without boxing. Reads of cells the transaction has already written
 // return the buffered value (read-your-writes).
+//
+// Load never returns an inconsistent value: attempts that observe a
+// conflict are unwound and retried by Atomically.
 func (c *TypedCell[T]) Load(tx *Tx) T {
 	if c == nil {
 		panic("core: Load of nil cell")
@@ -69,8 +75,14 @@ func (c *TypedCell[T]) Load(tx *Tx) T {
 }
 
 // Store buffers a write of value to the cell; it becomes visible
-// atomically at commit. Under Snapshot semantics the transaction aborts
-// permanently with an error matching ErrWriteInSnapshot.
+// atomically at commit. Inside a snapshot transaction Store aborts the
+// transaction permanently with an error matching ErrWriteInSnapshot, since
+// snapshot semantics is read-only by construction (section 5.1 of the
+// paper).
+//
+// The first Store of an elastic transaction seals its parse phase: the
+// current window becomes the seed read set of the final piece, which from
+// then on behaves like a classic transaction (section 4.2).
 func (c *TypedCell[T]) Store(tx *Tx, value T) {
 	if c == nil {
 		panic("core: Store to nil cell")
@@ -112,8 +124,11 @@ func (c *TypedCell[T]) LoadVersioned(tx *Tx) (T, uint64) {
 	return decodeVal[T](c.h.shape, v), ver
 }
 
-// Release early-releases the cell from tx's read set (section 4.1 of the
-// paper); future conflicts on it are ignored. Expert-only: see Tx.Release.
+// Release performs an early release (section 4.1 of the paper): the cell
+// is dropped from tx's read set and window, so future conflicts on it are
+// ignored. This is the expert-only escape hatch; releasing a location that
+// a composed caller still depends on breaks atomicity of the composition —
+// the documented addIfAbsent anomaly, demonstrated in the tests.
 func (c *TypedCell[T]) Release(tx *Tx) {
 	if c == nil {
 		return
@@ -121,28 +136,10 @@ func (c *TypedCell[T]) Release(tx *Tx) {
 	tx.release(&c.h)
 }
 
-// LoadT is the free-function form of TypedCell.Load.
-func LoadT[T any](tx *Tx, c *TypedCell[T]) T { return c.Load(tx) }
-
-// StoreT is the free-function form of TypedCell.Store.
-func StoreT[T any](tx *Tx, c *TypedCell[T], value T) { c.Store(tx, value) }
-
-// Cell is a single untyped transactional memory location: a thin wrapper
-// over the same engine as TypedCell whose payload representation is the
-// boxed `any` (shapeRef). It remains the substrate for heterogeneous
-// values; homogeneous hot paths should prefer TypedCell, which avoids the
-// boxing allocation on Store and the record allocation on commit.
-type Cell struct {
-	h cell
-}
-
-// ID returns the cell's unique identity within its TM.
-func (c *Cell) ID() uint64 { return c.h.id }
-
 // encodeVal packs a value of static type T into the representation the
 // cell's shape selects. Word and pointer encodings are allocation-free;
 // the ref encoding boxes (free for pointer-shaped values, one allocation
-// for value types — the untyped path's documented cost).
+// for value types — the ref shape's documented cost).
 func encodeVal[T any](s cellShape, v T) vbox {
 	switch s {
 	case shapeWord:

@@ -110,45 +110,31 @@ func TestTypedZeroValues(t *testing.T) {
 	})
 }
 
-func TestLoadTStoreTFreeFunctions(t *testing.T) {
-	tm := New()
-	c := NewTypedCell(tm, 10)
-	mustAtomically(t, tm, Classic, func(tx *Tx) error {
-		StoreT(tx, c, LoadT(tx, c)+5)
-		return nil
-	})
-	mustAtomically(t, tm, Classic, func(tx *Tx) error {
-		if v := LoadT(tx, c); v != 15 {
-			t.Errorf("LoadT = %d, want 15", v)
-		}
-		return nil
-	})
-}
-
-// TestTypedUntypedInterop is the interop contract: a Cell and TypedCells
-// of several shapes live inside ONE transaction — reads, writes,
-// read-your-writes, conflict detection and commit atomicity all flow
-// through the same engine regardless of representation.
+// TestTypedUntypedInterop is the interop contract: a ref-shaped
+// TypedCell[any] and cells of the word and pointer shapes live inside ONE
+// transaction — reads, writes, read-your-writes, conflict detection and
+// commit atomicity all flow through the same engine regardless of
+// representation.
 func TestTypedUntypedInterop(t *testing.T) {
 	tm := New()
-	u := tm.NewCell(100)                // untyped, boxed int
+	u := NewTypedCell[any](tm, 100)     // ref shape, boxed int
 	w := NewTypedCell(tm, 100)          // word shape
 	p := NewTypedCell(tm, &[]int{0}[0]) // pointer shape
 
-	// One transaction mixes all three: move 10 from the untyped cell to
-	// the typed one and redirect the pointer, atomically.
+	// One transaction mixes all three: move 10 from the ref-shaped cell to
+	// the word-shaped one and redirect the pointer, atomically.
 	x := 7
 	mustAtomically(t, tm, Classic, func(tx *Tx) error {
-		uv, _ := tx.Load(u).(int)
-		tx.Store(u, uv-10)
+		uv, _ := u.Load(tx).(int)
+		u.Store(tx, uv-10)
 		w.Store(tx, w.Load(tx)+10)
 		p.Store(tx, &x)
 		// Read-your-writes across representations inside the same tx.
-		if got, _ := tx.Load(u).(int); got != 90 {
-			t.Errorf("untyped RYW = %d, want 90", got)
+		if got := u.Load(tx); got != 90 {
+			t.Errorf("ref RYW = %d, want 90", got)
 		}
 		if got := w.Load(tx); got != 110 {
-			t.Errorf("typed RYW = %d, want 110", got)
+			t.Errorf("word RYW = %d, want 110", got)
 		}
 		if got := p.Load(tx); got != &x {
 			t.Errorf("pointer RYW = %p, want %p", got, &x)
@@ -157,7 +143,7 @@ func TestTypedUntypedInterop(t *testing.T) {
 	})
 	// A snapshot sees the joint commit.
 	mustAtomically(t, tm, Snapshot, func(tx *Tx) error {
-		uv, _ := tx.Load(u).(int)
+		uv, _ := u.Load(tx).(int)
 		if sum := uv + w.Load(tx); sum != 200 {
 			t.Errorf("invariant broken across representations: %d", sum)
 		}
@@ -170,11 +156,11 @@ func TestTypedUntypedInterop(t *testing.T) {
 
 // TestTypedUntypedInteropConcurrent hammers the mixed-representation
 // invariant from many goroutines across all three semantics: transfers
-// between an untyped and a typed account must conserve the sum for every
-// classic/elastic updater and every snapshot auditor.
+// between a ref-shaped and a word-shaped account must conserve the sum for
+// every classic/elastic updater and every snapshot auditor.
 func TestTypedUntypedInteropConcurrent(t *testing.T) {
 	tm := New()
-	u := tm.NewCell(500)
+	u := NewTypedCell[any](tm, 500)
 	w := NewTypedCell(tm, 500)
 	const workers, opsPer = 8, 200
 	var wg sync.WaitGroup
@@ -195,8 +181,8 @@ func TestTypedUntypedInteropConcurrent(t *testing.T) {
 						amt = -amt
 					}
 					if err := tm.Atomically(sem, func(tx *Tx) error {
-						uv, _ := tx.Load(u).(int)
-						tx.Store(u, uv-amt)
+						uv, _ := u.Load(tx).(int)
+						u.Store(tx, uv-amt)
 						w.Store(tx, w.Load(tx)+amt)
 						return nil
 					}); err != nil {
@@ -205,7 +191,7 @@ func TestTypedUntypedInteropConcurrent(t *testing.T) {
 					}
 				default: // snapshot audit
 					if err := tm.Atomically(Snapshot, func(tx *Tx) error {
-						uv, _ := tx.Load(u).(int)
+						uv, _ := u.Load(tx).(int)
 						if sum := uv + w.Load(tx); sum != 1000 {
 							t.Errorf("audit saw sum %d, want 1000", sum)
 						}
@@ -224,7 +210,7 @@ func TestTypedUntypedInteropConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustAtomically(t, tm, Classic, func(tx *Tx) error {
-		uv, _ := tx.Load(u).(int)
+		uv, _ := u.Load(tx).(int)
 		if sum := uv + w.Load(tx); sum != 1000 {
 			t.Errorf("final sum %d, want 1000", sum)
 		}

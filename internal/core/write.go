@@ -1,25 +1,6 @@
 package core
 
-// Store buffers a write of value to c; it becomes visible atomically at
-// commit. Inside a snapshot transaction Store aborts the transaction
-// permanently with an error matching ErrWriteInSnapshot, since snapshot
-// semantics is read-only by construction (section 5.1 of the paper).
-//
-// The first Store of an elastic transaction seals its parse phase: the
-// current window becomes the seed read set of the final piece, which from
-// then on behaves like a classic transaction (section 4.2).
-//
-// Store is the untyped entry point and boxes non-pointer values;
-// TypedCell.Store / StoreT are the typed, allocation-free equivalents
-// sharing the same engine (tx.store).
-func (tx *Tx) Store(c *Cell, value any) {
-	if c == nil {
-		panic("core: Store to nil cell")
-	}
-	tx.store(&c.h, vbox{ref: value}, false)
-}
-
-// store is the shared write engine under every Store entry point: it
+// store is the shared write engine under TypedCell.Store and StoreFinal: it
 // enforces semantics, seals elastic parses, and buffers the encoded value
 // in the write set (redo log), deduplicating per cell. final marks the
 // write as the last one its cell will see (TypedCell.StoreFinal); the

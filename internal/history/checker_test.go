@@ -23,16 +23,16 @@ func runRecorded(t *testing.T, fn func(tm *core.TM)) *ExecLog {
 
 func TestCheckerAcceptsSerialRun(t *testing.T) {
 	log := runRecorded(t, func(tm *core.TM) {
-		c := tm.NewCell(0)
+		c := core.NewTypedCell(tm, 0)
 		for i := 0; i < 5; i++ {
 			_ = tm.Atomically(core.Classic, func(tx *core.Tx) error {
-				v, _ := tx.Load(c).(int)
-				tx.Store(c, v+1)
+				v := c.Load(tx)
+				c.Store(tx, v+1)
 				return nil
 			})
 		}
 		_ = tm.Atomically(core.Snapshot, func(tx *core.Tx) error {
-			_ = tx.Load(c)
+			_ = c.Load(tx)
 			return nil
 		})
 	})
@@ -46,9 +46,9 @@ func TestCheckerAcceptsSerialRun(t *testing.T) {
 
 func TestCheckerAcceptsConcurrentMixedRun(t *testing.T) {
 	log := runRecorded(t, func(tm *core.TM) {
-		cells := make([]*core.Cell, 8)
+		cells := make([]*core.TypedCell[int], 8)
 		for i := range cells {
-			cells[i] = tm.NewCell(0)
+			cells[i] = core.NewTypedCell(tm, 0)
 		}
 		var wg sync.WaitGroup
 		for w := 0; w < 4; w++ {
@@ -67,24 +67,24 @@ func TestCheckerAcceptsConcurrentMixedRun(t *testing.T) {
 					case 0:
 						_ = tm.Atomically(core.Classic, func(tx *core.Tx) error {
 							a, b := cells[next(8)], cells[next(8)]
-							av, _ := tx.Load(a).(int)
-							bv, _ := tx.Load(b).(int)
-							tx.Store(a, av+1)
-							tx.Store(b, bv-1)
+							av := a.Load(tx)
+							bv := b.Load(tx)
+							a.Store(tx, av+1)
+							b.Store(tx, bv-1)
 							return nil
 						})
 					case 1:
 						_ = tm.Atomically(core.Elastic, func(tx *core.Tx) error {
 							for _, c := range cells {
-								_ = tx.Load(c)
+								_ = c.Load(tx)
 							}
-							tx.Store(cells[next(8)], next(100))
+							cells[next(8)].Store(tx, next(100))
 							return nil
 						})
 					default:
 						_ = tm.Atomically(core.Snapshot, func(tx *core.Tx) error {
 							for _, c := range cells {
-								_ = tx.Load(c)
+								_ = c.Load(tx)
 							}
 							return nil
 						})

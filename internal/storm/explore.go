@@ -231,10 +231,10 @@ func runSchedule(programs []TinyProgram, sched history.Schedule, finals []map[st
 	col := history.NewCollector()
 	tmOpts := append([]core.Option{core.WithRecorder(col), core.WithSpinBudget(4)}, opts...)
 	tm := core.New(tmOpts...)
-	cells := make(map[string]*core.Cell)
+	cells := make(map[string]*core.TypedCell[int])
 	for _, a := range sched {
 		if cells[a.Loc] == nil {
-			cells[a.Loc] = tm.NewCell(0)
+			cells[a.Loc] = core.NewTypedCell(tm, 0)
 		}
 	}
 	g := newGate(sched, len(programs))
@@ -257,9 +257,9 @@ func runSchedule(programs []TinyProgram, sched history.Schedule, finals []map[st
 					}
 					switch a.Kind {
 					case history.OpRead:
-						_ = tx.Load(cells[a.Loc])
+						_ = cells[a.Loc].Load(tx)
 					case history.OpWrite:
-						tx.Store(cells[a.Loc], writeVal(pi, ai))
+						cells[a.Loc].Store(tx, writeVal(pi, ai))
 					}
 					if gated {
 						g.done(pi)
@@ -288,8 +288,7 @@ func runSchedule(programs []TinyProgram, sched history.Schedule, finals []map[st
 	final := make(map[string]int)
 	if err := tm.Atomically(core.Classic, func(tx *core.Tx) error {
 		for loc, c := range cells {
-			v, _ := tx.Load(c).(int)
-			if v != 0 {
+			if v := c.Load(tx); v != 0 {
 				final[loc] = v
 			}
 		}

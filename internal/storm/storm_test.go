@@ -44,6 +44,20 @@ func TestStormAllWorkloads(t *testing.T) {
 	}
 }
 
+// TestCellsWorkloadsCoverBothShapes pins what the raw-cell storms are for:
+// "cells" drives ref-shaped TypedCell[any] cells and "typedcells"
+// word-shaped TypedCell[int] cells, so -workload all storms both
+// representations of the engine.
+func TestCellsWorkloadsCoverBothShapes(t *testing.T) {
+	tm := core.New()
+	if _, ok := newCellsWorkload(tm, 2, false).cells[0].(refSlot); !ok {
+		t.Error(`"cells" does not run over TypedCell[any]`)
+	}
+	if _, ok := newCellsWorkload(tm, 2, true).cells[0].(wordSlot); !ok {
+		t.Error(`"typedcells" does not run over TypedCell[int]`)
+	}
+}
+
 // TestMixedSemanticsExercised confirms the default mix actually runs all
 // three semantics concurrently on a structure that tolerates all three.
 func TestMixedSemanticsExercised(t *testing.T) {

@@ -26,9 +26,10 @@ type workload interface {
 	check(log *history.ExecLog, recs []OpRecord) error
 }
 
-// Workloads names every registered storm workload. "cells" runs over the
-// untyped Cell API, "typedcells" over TypedCell[int] — same operations,
-// same checker, both representations of the one engine kept honest.
+// Workloads names every registered storm workload. "cells" runs over
+// ref-shaped TypedCell[any] cells, "typedcells" over word-shaped
+// TypedCell[int] — same operations, same checker, both representations of
+// the one engine kept honest.
 // "lrucache" storms the transactional LRU of internal/cache with hit-rate
 // and invariant checking. "persist" is the crash-recovery storm: map
 // mutations interleaved with on-disk full+diff backup chains, every
@@ -66,9 +67,9 @@ func newWorkload(name string, tm *core.TM, keys, window int) (workload, error) {
 		hs := txstruct.NewHashSet(tm, 8, txstruct.ListConfig{})
 		return &setWorkload{tag: "hashset", tm: tm, set: hs, keys: keys, elasticOK: elastic}, nil
 	case "treemap":
-		return &treeWorkload{tm: tm, m: txstruct.NewTreeMap(tm, core.Snapshot), keys: keys}, nil
+		return &treeWorkload{tm: tm, m: txstruct.NewTreeMapOf[any](tm, core.Snapshot), keys: keys}, nil
 	case "queue":
-		return &queueWorkload{tm: tm, q: txstruct.NewQueue(tm, core.Snapshot), keys: keys}, nil
+		return &queueWorkload{tm: tm, q: txstruct.NewQueueOf[any](tm, core.Snapshot), keys: keys}, nil
 	case "lrucache":
 		return newCacheWorkload(tm, keys), nil
 	case "persist":
@@ -230,7 +231,7 @@ func (w *setWorkload) check(log *history.ExecLog, recs []OpRecord) error {
 
 type treeWorkload struct {
 	tm   *core.TM
-	m    *txstruct.TreeMap
+	m    *txstruct.TreeMapOf[any]
 	keys int
 }
 
@@ -325,7 +326,7 @@ func (w *treeWorkload) check(log *history.ExecLog, recs []OpRecord) error {
 
 type queueWorkload struct {
 	tm   *core.TM
-	q    *txstruct.Queue
+	q    *txstruct.QueueOf[any]
 	keys int
 }
 
@@ -404,25 +405,25 @@ func (w *queueWorkload) check(log *history.ExecLog, recs []OpRecord) error {
 // ---- raw cells ----
 
 // intSlot abstracts one int-valued transactional location so the cells
-// storm drives the untyped Cell API and the typed TypedCell[int] API
-// through identical operation streams (and one checker).
+// storm drives the ref-shaped TypedCell[any] and the word-shaped
+// TypedCell[int] through identical operation streams (and one checker).
 type intSlot interface {
 	load(tx *core.Tx) int
 	store(tx *core.Tx, v int)
 }
 
-type untypedSlot struct{ c *core.Cell }
+type refSlot struct{ c *core.TypedCell[any] }
 
-func (s untypedSlot) load(tx *core.Tx) int {
-	v, _ := tx.Load(s.c).(int)
+func (s refSlot) load(tx *core.Tx) int {
+	v, _ := s.c.Load(tx).(int)
 	return v
 }
-func (s untypedSlot) store(tx *core.Tx, v int) { tx.Store(s.c, v) }
+func (s refSlot) store(tx *core.Tx, v int) { s.c.Store(tx, v) }
 
-type typedSlot struct{ c *core.TypedCell[int] }
+type wordSlot struct{ c *core.TypedCell[int] }
 
-func (s typedSlot) load(tx *core.Tx) int     { return s.c.Load(tx) }
-func (s typedSlot) store(tx *core.Tx, v int) { s.c.Store(tx, v) }
+func (s wordSlot) load(tx *core.Tx) int     { return s.c.Load(tx) }
+func (s wordSlot) store(tx *core.Tx, v int) { s.c.Store(tx, v) }
 
 type cellsWorkload struct {
 	tm    *core.TM
@@ -437,9 +438,9 @@ func newCellsWorkload(tm *core.TM, keys int, typed bool) *cellsWorkload {
 	}
 	for i := range w.cells {
 		if typed {
-			w.cells[i] = typedSlot{c: core.NewTypedCell(tm, 0)}
+			w.cells[i] = wordSlot{c: core.NewTypedCell(tm, 0)}
 		} else {
-			w.cells[i] = untypedSlot{c: tm.NewCell(0)}
+			w.cells[i] = refSlot{c: core.NewTypedCell[any](tm, 0)}
 		}
 	}
 	return w

@@ -78,8 +78,8 @@ func TestCrossStructureMove(t *testing.T) {
 func TestCrossStructureSnapshotTotal(t *testing.T) {
 	tm := core.New()
 	list := NewList(tm, ListConfig{})
-	q := NewQueue(tm, 0)
-	m := NewTreeMap(tm, 0)
+	q := NewQueueOf[any](tm, 0)
+	m := NewTreeMapOf[any](tm, 0)
 
 	// total tokens = 30: 10 in each structure (values are token counts
 	// for the tree; presence for list/queue).

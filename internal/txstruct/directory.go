@@ -17,15 +17,14 @@ var (
 	ErrNotFound = errors.New("name not found")
 )
 
-// dirEntry is one name binding; next is a typed cell holding the
-// successor *dirEntry, embedded in the entry, so directory walks carry
-// entry pointers unboxed.
-// Names are immutable per entry; the bound file stays an untyped cell
-// (directories bind heterogeneous files), demonstrating typed and untyped
-// cells cohabiting in one structure — and in one transaction.
+// dirEntry is one name binding; next is a cell holding the successor
+// *dirEntry, embedded in the entry, so directory walks carry entry
+// pointers unboxed. The name and the bound file are immutable per entry:
+// CreateTx sets both before the entry is published, and a rename binds the
+// file to a new entry, so neither needs a cell.
 type dirEntry struct {
 	name string
-	file *core.Cell // holds any
+	file any
 	next core.TypedCell[*dirEntry]
 }
 
@@ -63,7 +62,7 @@ func (d *Directory) LookupTx(tx *core.Tx, name string) (any, bool) {
 	if curr == nil || curr.name != name {
 		return nil, false
 	}
-	return tx.Load(curr.file), true
+	return curr.file, true
 }
 
 // CreateTx binds name to file inside the caller's transaction; it returns
@@ -73,7 +72,7 @@ func (d *Directory) CreateTx(tx *core.Tx, name string, file any) error {
 	if curr != nil && curr.name == name {
 		return fmt.Errorf("create %q: %w", name, ErrExists)
 	}
-	e := &dirEntry{name: name, file: d.tm.NewCell(file)}
+	e := &dirEntry{name: name, file: file}
 	core.InitTypedCell(d.tm, &e.next, curr)
 	if prev == nil {
 		d.head.Store(tx, e)
@@ -98,7 +97,7 @@ func (d *Directory) RemoveTx(tx *core.Tx, name string) (any, error) {
 		prev.next.Store(tx, succ)
 	}
 	curr.next.Store(tx, succ)
-	return tx.Load(curr.file), nil
+	return curr.file, nil
 }
 
 // Lookup returns the file bound to name.

@@ -24,16 +24,6 @@ type QueueOf[T any] struct {
 	tail    core.TypedCell[*qnode[T]]
 }
 
-// Queue is the untyped compatibility face: a FIFO of `any` values,
-// exactly QueueOf[any].
-type Queue = QueueOf[any]
-
-// NewQueue builds an empty untyped queue; sizeSem selects Len's semantics
-// (0 defaults to Snapshot).
-func NewQueue(tm *core.TM, sizeSem core.Semantics) *Queue {
-	return NewQueueOf[any](tm, sizeSem)
-}
-
 // NewQueueOf builds an empty typed queue; sizeSem selects Len's semantics
 // (0 defaults to Snapshot).
 func NewQueueOf[T any](tm *core.TM, sizeSem core.Semantics) *QueueOf[T] {

@@ -8,7 +8,7 @@ import (
 )
 
 func TestQueueFIFO(t *testing.T) {
-	q := NewQueue(core.New(), 0)
+	q := NewQueueOf[any](core.New(), 0)
 	for i := 0; i < 10; i++ {
 		if err := q.Enqueue(i); err != nil {
 			t.Fatal(err)
@@ -38,7 +38,7 @@ func TestQueueFIFO(t *testing.T) {
 }
 
 func TestQueueInterleavedEnqueueDequeue(t *testing.T) {
-	q := NewQueue(core.New(), core.Classic)
+	q := NewQueueOf[any](core.New(), core.Classic)
 	// Alternate to exercise the empty<->nonempty transitions (head/tail
 	// coupling).
 	for round := 0; round < 5; round++ {
@@ -57,7 +57,7 @@ func TestQueueInterleavedEnqueueDequeue(t *testing.T) {
 // preserved (FIFO linearizability per source).
 func TestQueueConcurrent(t *testing.T) {
 	tm := core.New()
-	q := NewQueue(tm, 0)
+	q := NewQueueOf[any](tm, 0)
 	const (
 		producers = 3
 		perProd   = 200
@@ -137,7 +137,7 @@ func TestQueueConcurrent(t *testing.T) {
 // sequence must arrive monotonically.
 func TestQueueFIFOPerProducerSingleConsumer(t *testing.T) {
 	tm := core.New()
-	q := NewQueue(tm, 0)
+	q := NewQueueOf[any](tm, 0)
 	const (
 		producers = 3
 		perProd   = 150
@@ -186,7 +186,7 @@ func TestQueueFIFOPerProducerSingleConsumer(t *testing.T) {
 // pattern).
 func TestQueueSnapshotLenDoesNotBlock(t *testing.T) {
 	tm := core.New()
-	q := NewQueue(tm, core.Snapshot)
+	q := NewQueueOf[any](tm, core.Snapshot)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)

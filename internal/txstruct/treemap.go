@@ -43,16 +43,6 @@ type TreeMapOf[V any] struct {
 	root    core.TypedCell[*tnode[V]]
 }
 
-// TreeMap is the untyped compatibility face: an ordered map with `any`
-// values, exactly TreeMapOf[any].
-type TreeMap = TreeMapOf[any]
-
-// NewTreeMap builds an empty untyped ordered map; sizeSem selects the
-// semantics of whole-tree reads (0 defaults to Snapshot).
-func NewTreeMap(tm *core.TM, sizeSem core.Semantics) *TreeMap {
-	return NewTreeMapOf[any](tm, sizeSem)
-}
-
 // NewTreeMapOf builds an empty typed ordered map; sizeSem selects the
 // semantics of whole-tree reads (0 defaults to Snapshot).
 func NewTreeMapOf[V any](tm *core.TM, sizeSem core.Semantics) *TreeMapOf[V] {

@@ -9,7 +9,7 @@ import (
 	"repro/internal/core"
 )
 
-func treeCheck(t *testing.T, tm *core.TM, m *TreeMap) {
+func treeCheck(t *testing.T, tm *core.TM, m *TreeMapOf[any]) {
 	t.Helper()
 	err := tm.Atomically(core.Classic, func(tx *core.Tx) error {
 		_, err := m.checkInvariants(tx)
@@ -22,7 +22,7 @@ func treeCheck(t *testing.T, tm *core.TM, m *TreeMap) {
 
 func TestTreeMapModel(t *testing.T) {
 	tm := core.New()
-	m := NewTreeMap(tm, 0)
+	m := NewTreeMapOf[any](tm, 0)
 	model := make(map[int]string)
 	puts := []struct {
 		k int
@@ -86,7 +86,7 @@ func TestTreeMapModel(t *testing.T) {
 func TestTreeMapQuickModel(t *testing.T) {
 	prop := func(ops []uint16) bool {
 		tm := core.New()
-		m := NewTreeMap(tm, core.Snapshot)
+		m := NewTreeMapOf[any](tm, core.Snapshot)
 		model := make(map[int]int)
 		for i, raw := range ops {
 			k := int(raw % 128)
@@ -145,7 +145,7 @@ func TestTreeMapQuickModel(t *testing.T) {
 
 func TestTreeMapConcurrent(t *testing.T) {
 	tm := core.New()
-	m := NewTreeMap(tm, 0)
+	m := NewTreeMapOf[any](tm, 0)
 	const keyRange = 64
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -211,7 +211,7 @@ func TestTreeMapConcurrent(t *testing.T) {
 
 func TestTreeMapRange(t *testing.T) {
 	tm := core.New()
-	m := NewTreeMap(tm, 0)
+	m := NewTreeMapOf[any](tm, 0)
 	for k := 0; k < 50; k += 2 { // evens 0..48
 		if _, err := m.Put(k, k); err != nil {
 			t.Fatal(err)
@@ -253,7 +253,7 @@ func TestTreeMapRange(t *testing.T) {
 
 func TestTreeMapAscendStopsEarly(t *testing.T) {
 	tm := core.New()
-	m := NewTreeMap(tm, 0)
+	m := NewTreeMapOf[any](tm, 0)
 	for k := 0; k < 10; k++ {
 		if _, err := m.Put(k, k*k); err != nil {
 			t.Fatal(err)

@@ -55,7 +55,7 @@ type (
 	// semantics, e.g. a Store inside a Snapshot transaction.
 	SemanticsError = core.SemanticsError
 	// SnapshotPin pins one committed version for multi-transaction use:
-	// the Snapshot handle. While the pin is live every Var and Cell of
+	// the Snapshot handle. While the pin is live every Var and cell of
 	// its TM stays readable at the pinned version — update commits retain
 	// the versions the pin depends on instead of recycling them — so
 	// successive pin.Atomically calls observe one consistent state: the
@@ -146,15 +146,18 @@ func New(opts ...Option) *TM { return core.New(opts...) }
 // cell's specialized representation, so word-sized pointer-free payloads
 // (int, bool, float64, small value structs) and single-pointer payloads
 // never box and never allocate on the warm update path. The zero Var is
-// not usable; create Vars with NewVar and access them only inside
-// transactions of the same TM.
+// not usable; create Vars with NewVar, never copy one, and access them
+// only inside transactions of the same TM.
 type Var[T any] struct {
-	cell *core.TypedCell[T]
+	cell core.TypedCell[T]
 }
 
-// NewVar allocates a transactional variable holding initial.
+// NewVar allocates a transactional variable holding initial. The cell is
+// embedded in the Var, so a word- or pointer-shaped Var is one allocation.
 func NewVar[T any](tm *TM, initial T) *Var[T] {
-	return &Var[T]{cell: core.NewTypedCell(tm, initial)}
+	v := new(Var[T])
+	core.InitTypedCell(tm, &v.cell, initial)
+	return v
 }
 
 // Get returns the variable's value as observed by tx under its semantics.

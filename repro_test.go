@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/core"
 )
 
 func TestPublicQuickstart(t *testing.T) {
@@ -30,6 +31,21 @@ func TestPublicQuickstart(t *testing.T) {
 	if got != 30 {
 		t.Fatalf("sum = %d, want 30", got)
 	}
+}
+
+// TestNewVarAllocatesOnce fences the Var layout: the cell, with its
+// version-0 record, is embedded in the Var, so a word-shaped Var is one
+// allocation.
+func TestNewVarAllocatesOnce(t *testing.T) {
+	if core.PrivatizeGuardsEnabled {
+		t.Skip("race-detector builds defeat sync.Pool reuse by design")
+	}
+	tm := repro.New()
+	var sink *repro.Var[int]
+	if allocs := testing.AllocsPerRun(100, func() { sink = repro.NewVar(tm, 1) }); allocs != 1 {
+		t.Fatalf("NewVar allocates %.1f objects, want 1", allocs)
+	}
+	_ = sink
 }
 
 func TestPublicTypedVars(t *testing.T) {
