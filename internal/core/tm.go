@@ -178,15 +178,18 @@ func WithReadExtension(on bool) Option {
 }
 
 // SetDurableAck installs (or, with nil, removes) a durability barrier on
-// Atomically: after an UPDATE transaction commits and its Defer commit
-// hooks have run, the TM invokes ack and Atomically does not return until
-// it does. The intended shape is write-ahead logging (internal/persistmap's
-// WAL): a commit hook streams the committed write set, stamped with
-// Tx.CommitVersion, into a group-commit daemon, and ack blocks the
-// committer until the daemon has fsynced the record — many concurrent
-// committers parked in their acks amortize into one fsync. ack runs
-// outside any transaction; the handle is valid for CommitVersion/ID/
-// Semantics reads only. A non-nil error reports a durability failure for
+// Atomically: after an UPDATE transaction commits and its redo logs and
+// Defer commit hooks have run, the TM invokes ack and Atomically does not
+// return until it does. The intended shape is write-ahead logging
+// (internal/persistmap's WAL): the map's operations encode into the
+// handle's redo log (Tx.Redo), the commit hands that log, stamped with
+// Tx.CommitVersion, to the WAL's group-commit daemon and keeps the
+// daemon's ticket in the handle, and ack redeems the ticket
+// (Tx.CommittedRedo) — blocking the committer until the daemon has
+// fsynced the record, so many concurrent committers parked in their acks
+// amortize into one fsync. ack runs outside any transaction; the handle is
+// valid for CommitVersion/ID/Semantics/CommittedRedo reads only. A non-nil
+// error reports a durability failure for
 // an already-committed transaction — the memory effect stands, the caller
 // must not assume it survives a crash — and is returned from Atomically
 // verbatim. Read-only commits skip the barrier.
@@ -304,10 +307,11 @@ const maxPooledWrites = 512
 // kill of the next transaction using the handle, which simply retries).
 //
 // Value- and closure-bearing state (buffered writes, Defer hooks, the delta
-// log, the released set) is cleared so an idle pooled handle does not pin
-// user values, counters or captured scopes: in the zero-allocation steady
-// state GC runs rarely, so the pool drains slowly. The read/window sets are deliberately
-// NOT cleared — they hold only cell pointers, and zeroing a traversal-
+// log, the redo sinks, the released set) is cleared so an idle pooled
+// handle does not pin user values, counters, sinks or captured scopes (the
+// redo buffers hold plain bytes and keep their capacity): in the
+// zero-allocation steady state GC runs rarely, so the pool drains slowly.
+// The read/window sets are deliberately NOT cleared — they hold only cell pointers, and zeroing a traversal-
 // sized read set would memclr hundreds of kilobytes per transaction — so
 // an idle handle can transitively pin up to maxPooledEntries cells (and
 // their short record chains) per pooled handle until its next reuse. That
@@ -325,6 +329,7 @@ func (tm *TM) putTx(tx *Tx) {
 	tx.onCommit = trimClear(tx.onCommit)
 	tx.onAbort = trimClear(tx.onAbort)
 	tx.deltas = trimClear(tx.deltas)
+	tx.redo = trimRedo(tx.redo)
 	// The released map keeps its bucket array across clear(); drop an
 	// early-release-heavy transaction's map entirely so a pooled handle
 	// stays within the same bounded-retention policy as the slices.
@@ -345,6 +350,23 @@ func trimClear[E any](s []E) []E {
 	}
 	s = s[:cap(s)]
 	clear(s)
+	return s[:0]
+}
+
+// trimRedo is trimClear for the redo log: it drops every slot's sink and
+// error but keeps each buffer's capacity, unless that buffer is oversized.
+func trimRedo(s []RedoLog) []RedoLog {
+	if cap(s) > maxPooledWrites {
+		return nil
+	}
+	s = s[:cap(s)]
+	for i := range s {
+		buf := s[i].Buf[:0]
+		if cap(buf) > maxPooledRedoBytes {
+			buf = nil
+		}
+		s[i] = RedoLog{Buf: buf}
+	}
 	return s[:0]
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"time"
 )
@@ -91,18 +92,23 @@ type Tx struct {
 	abortReason AbortReason
 	// commitVer is the version the last successful commit installed (the
 	// write version of an update commit, the read version of a read-only
-	// one). It is what Defer commit hooks read through CommitVersion to
-	// stamp externalized effects — a write-ahead log record, an escrow
-	// publication — with the transaction's serialization point.
+	// one). It is what redo sinks and Defer commit hooks read through
+	// CommitVersion to stamp externalized effects — a write-ahead log
+	// record, an escrow publication — with the transaction's
+	// serialization point.
 	commitVer uint64
 	cuts      int
 	rnd       uint64 // xorshift state for backoff jitter
 	// Deferred side-effect hooks for the current attempt (transactional
-	// boosting, write-ahead logging): see Tx.Defer.
+	// boosting): see Tx.Defer.
 	onCommit []func()
 	onAbort  []func()
 	// deltas is the attempt's commit-time delta log: see Tx.AddOnCommit.
 	deltas []counterDelta
+	// redo is the attempt's redo log, one entry per log sink: see Tx.Redo.
+	// Entries past len keep their buffers for the next attempt and the next
+	// pooled reuse.
+	redo []RedoLog
 	// workLocal counts reads+writes of the current attempt; it is
 	// flushed into the atomic work counter every flushEvery steps (and at
 	// arbitration points) so contention managers see a close-enough
@@ -247,6 +253,7 @@ func (tx *Tx) beginAttempt() {
 	tx.onCommit = tx.onCommit[:0]
 	tx.onAbort = tx.onAbort[:0]
 	tx.deltas = tx.deltas[:0]
+	tx.redo = tx.redo[:0]
 	var now uint64
 	switch {
 	case tx.pinned:
@@ -431,24 +438,102 @@ func (tx *Tx) PendingOnCommit(c *atomic.Int64) int64 {
 	return 0
 }
 
+// RedoSink is a log that externalizes committed write sets — the
+// write-ahead log of a durable map. Operations encode themselves into the
+// attempt's RedoLog for the sink (Tx.Redo); the runtime hands the log over
+// only if the attempt commits.
+type RedoSink interface {
+	// CommitRedo receives the redo log of a committed attempt, once, on
+	// the committing goroutine, after the delta log and before the Defer
+	// commit hooks and the durable-ack barrier; tx.CommitVersion is valid.
+	// The log's bytes belong to the handle, which reuses them for its
+	// next transaction, so a sink keeps a copy, not log.Buf. The
+	// returned ticket stays in the handle (RedoLog.Ticket) for the
+	// barrier to redeem.
+	CommitRedo(tx *Tx, log *RedoLog) (ticket uint64)
+}
+
+// RedoLog is one sink's share of an attempt's redo log.
+type RedoLog struct {
+	// Buf holds the attempt's operations in the sink's own encoding. Its
+	// capacity survives retries and the pooled handle's reuse, so a warm
+	// logged write allocates nothing.
+	Buf []byte
+	// Err is the attempt's first logging failure, e.g. a value the codec
+	// cannot encode. The commit still stands; the sink reports Err
+	// through its durable ack.
+	Err    error
+	sink   RedoSink
+	ticket uint64
+}
+
+// Ticket returns what the sink's CommitRedo returned for this log.
+func (r *RedoLog) Ticket() uint64 { return r.ticket }
+
+// maxPooledRedoBytes caps the redo buffer a pooled handle keeps: a bulk
+// load must not pin its encoded write set in the pool.
+const maxPooledRedoBytes = 64 << 10
+
+// Redo returns the current attempt's redo log for sink, opening an empty
+// one on the attempt's first call. Like the delta log it lives in the
+// handle, not in shared memory: every way an attempt ends without
+// committing (conflict, kill, user error, Restart, blocking Retry, an
+// abandoned OrElse branch, a cross-shard abort) empties it, and a commit
+// hands it to the sink exactly once, on both commit paths. A transaction
+// logs into a handful of sinks at most, so the lookup is a linear scan.
+func (tx *Tx) Redo(sink RedoSink) *RedoLog {
+	tx.checkUsable()
+	for i := range tx.redo {
+		if tx.redo[i].sink == sink {
+			return &tx.redo[i]
+		}
+	}
+	n := len(tx.redo)
+	tx.redo = slices.Grow(tx.redo, 1)[:n+1] // a pooled slot keeps its buffer
+	r := &tx.redo[n]
+	r.sink, r.Buf, r.Err, r.ticket = sink, r.Buf[:0], nil, 0
+	return r
+}
+
+// CommittedRedo returns the redo log the committed attempt handed to sink,
+// or nil when the transaction has not committed or logged nothing there.
+// It is the durable-ack barrier's view of the ticket.
+func (tx *Tx) CommittedRedo(sink RedoSink) *RedoLog {
+	if tx.status != statusCommitted {
+		return nil
+	}
+	for i := range tx.redo {
+		if tx.redo[i].sink == sink {
+			return &tx.redo[i]
+		}
+	}
+	return nil
+}
+
 // CommitVersion returns the global version at which the transaction's
 // last successful commit serialized: the write version drawn at commit for
 // an update transaction, the validated read version for a read-only one.
-// It is meaningful only after the attempt committed — inside Defer's
-// onCommit hooks and in a TM durable-ack callback — and is 0 before then.
-// This is the plumbing that lets a commit hook stamp an externalized
-// record (e.g. a redo-log entry) with the exact serialization point the
-// recorder would report for the same commit.
+// It is meaningful only after the attempt committed — inside
+// RedoSink.CommitRedo, Defer's onCommit hooks and a TM durable-ack
+// callback — and is 0 before then. This is the plumbing that lets a redo
+// sink stamp its record with the exact serialization point the recorder
+// would report for the same commit.
 func (tx *Tx) CommitVersion() uint64 { return tx.commitVer }
 
-// runCommitHooks applies the delta log, then fires deferred commit actions
-// in registration order. Both commit paths (Atomically, CrossTx.Commit) end
-// here, exactly once per committed transaction.
+// runCommitHooks applies the delta log, hands each redo log to its sink,
+// then fires deferred commit actions in registration order. Both commit
+// paths (Atomically, CrossTx.Commit) end here, exactly once per committed
+// transaction. The redo logs stay in the handle with their tickets for
+// the durable-ack barrier.
 func (tx *Tx) runCommitHooks() {
 	for _, d := range tx.deltas {
 		d.c.Add(d.delta)
 	}
 	tx.deltas = tx.deltas[:0]
+	for i := range tx.redo {
+		r := &tx.redo[i]
+		r.ticket = r.sink.CommitRedo(tx, r)
+	}
 	for _, fn := range tx.onCommit {
 		fn()
 	}
@@ -456,11 +541,12 @@ func (tx *Tx) runCommitHooks() {
 	tx.onAbort = tx.onAbort[:0]
 }
 
-// runAbortHooks drops the delta log and fires deferred compensations in
-// reverse registration order. Every way an attempt (or an OrElse branch)
-// ends without committing passes through here.
+// runAbortHooks drops the delta and redo logs and fires deferred
+// compensations in reverse registration order. Every way an attempt (or an
+// OrElse branch) ends without committing passes through here.
 func (tx *Tx) runAbortHooks() {
 	tx.deltas = tx.deltas[:0]
+	tx.redo = tx.redo[:0]
 	for i := len(tx.onAbort) - 1; i >= 0; i-- {
 		tx.onAbort[i]()
 	}

@@ -70,7 +70,28 @@ func ReadFile(fsys FS, name string) ([]byte, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return io.ReadAll(f)
+	// A file that knows its size is read into one buffer of that size, so
+	// reading a segment costs the same allocations at any length.
+	size := 512
+	if st, ok := f.(interface{ Stat() (fs.FileInfo, error) }); ok {
+		if fi, err := st.Stat(); err == nil {
+			size = int(fi.Size()) + 1 // room to see EOF without growing
+		}
+	}
+	data := make([]byte, 0, size)
+	for {
+		n, err := f.Read(data[len(data):cap(data)])
+		data = data[:len(data)+n]
+		if err == io.EOF {
+			return data, nil
+		}
+		if err != nil {
+			return data, err
+		}
+		if len(data) == cap(data) {
+			data = append(data, 0)[:len(data)]
+		}
+	}
 }
 
 // OsFS is the pass-through FS over the os package — what production code

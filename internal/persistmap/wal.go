@@ -7,7 +7,6 @@ import (
 	"hash/crc32"
 	"path/filepath"
 	"sort"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/faultfs"
@@ -17,14 +16,18 @@ import (
 
 // This file is the write-ahead half of always-on durability: where the
 // checkpoint chain (store.go) makes PERIODIC cuts durable, the WAL makes
-// every COMMIT durable. A Map with a WAL attached registers, via the
-// core's Tx.Defer onCommit machinery, one commit hook per update
-// transaction; the hook stamps the transaction's buffered map operations
-// with Tx.CommitVersion and streams them as one framed record into the
-// walsync group-commit daemon, which batches concurrent committers into a
-// single fsync and acks each on durability. Recovery (Store.Replay) loads
-// the newest checkpoint chain and re-applies the WAL tail in commit-
-// version order through the chunked RestoreDiffTx live-apply path.
+// every COMMIT durable. A Map with a WAL attached encodes each put and
+// delete straight into the transaction handle's redo log for the WAL
+// (core.Tx.Redo) — the record's frame, with its version and count fields
+// reserved. Only a commit hands the log over (WAL.CommitRedo): the frame
+// is stamped with Tx.CommitVersion, sealed with its CRC and copied into
+// the walsync group-commit daemon, which batches concurrent committers
+// into a single fsync; the daemon's ticket stays in the handle, and the
+// TM's durable-ack barrier (WAL.Ack) redeems it. An aborted attempt's log
+// is simply emptied with the handle's other per-attempt state. Recovery
+// (Store.Replay) loads the newest checkpoint chain and re-applies the WAL
+// tail in commit-version order through the chunked RestoreDiffTx
+// live-apply path.
 //
 // Segment layout (all integers little-endian):
 //
@@ -53,6 +56,10 @@ const (
 
 	walOpPut    = uint8(1)
 	walOpDelete = uint8(2)
+
+	// walRecordHead is the version and count fields in front of a
+	// record's ops; logOp reserves it, CommitRedo fills it in.
+	walRecordHead = 8 + 4
 )
 
 // ErrTornTail marks WAL damage whose shape is a TRUNCATION — the parse
@@ -106,7 +113,7 @@ type WALOptions struct {
 	// SegmentBytes is the segment roll threshold (walsync's default when
 	// zero).
 	SegmentBytes int64
-	// MaxBatch caps records per fsync; 0 drains everything queued. Set
+	// MaxBatch caps records per fsync; 0 drains everything staged. Set
 	// only by tests that need a bounded batch.
 	MaxBatch int
 	// BeforeSync is walsync's crash-injection hook (nil in production).
@@ -121,7 +128,8 @@ type WALOptions struct {
 // WAL streams committed write sets of one Map into the store directory's
 // segmented redo log. Open it with Store.OpenWAL, attach it with
 // Map.AttachWAL, close it before the process exits (Close drains and
-// fsyncs the queue).
+// fsyncs the staged records). A WAL is the core.RedoSink its map's
+// operations log into.
 type WAL[V any] struct {
 	codec   Codec[V]
 	dir     string
@@ -133,24 +141,6 @@ type WAL[V any] struct {
 	// the one Ack answers, so attaching the same WAL under a second TM is
 	// rejected there.
 	tm *core.TM
-
-	mu sync.Mutex
-	// pending buffers the CURRENT attempt's ops per transaction ID; the
-	// entry is consumed by the commit hook and discarded by the abort
-	// hook, so a retried attempt re-buffers from scratch.
-	pending map[uint64]*walTxBuf[V]
-	// acks parks each committed transaction's durability verdict between
-	// its commit hook (which enqueued the record) and the TM's durable
-	// ack (which waits on it).
-	acks map[uint64]<-chan error
-}
-
-// walTxBuf accumulates one transaction attempt's map operations.
-type walTxBuf[V any] struct {
-	attempt int
-	keys    []int
-	vals    []V
-	dels    []bool
 }
 
 // OpenWAL starts a write-ahead log (and its group-commit daemon) in the
@@ -174,14 +164,7 @@ func (s *Store[V]) OpenWAL(opts WALOptions) (*WAL[V], error) {
 	if err != nil {
 		return nil, err
 	}
-	return &WAL[V]{
-		codec:   s.codec,
-		dir:     s.dir,
-		fs:      s.fs,
-		d:       d,
-		pending: make(map[uint64]*walTxBuf[V]),
-		acks:    make(map[uint64]<-chan error),
-	}, nil
+	return &WAL[V]{codec: s.codec, dir: s.dir, fs: s.fs, d: d}, nil
 }
 
 // walHeader builds the static per-segment header for a codec.
@@ -196,85 +179,69 @@ func walHeader(codec string) ([]byte, error) {
 	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf)), nil
 }
 
-// logOp buffers one map operation of the transaction's current attempt,
-// registering the commit/abort hooks on the attempt's first op.
+// logOp encodes one map operation of the transaction's current attempt
+// into the attempt's redo log for w, opening the record's frame with its
+// version and count fields reserved on the attempt's first op. A value
+// the codec cannot encode fails the whole record: the commit still
+// stands, and Ack reports the error.
 func (w *WAL[V]) logOp(tx *core.Tx, key int, val V, del bool) {
-	id := tx.ID()
-	w.mu.Lock()
-	b := w.pending[id]
-	fresh := b == nil
-	if fresh {
-		b = &walTxBuf[V]{attempt: tx.Attempt()}
-		w.pending[id] = b
-	} else if b.attempt != tx.Attempt() {
-		// Defensive: abort hooks discard the entry between attempts, so a
-		// stale buffer should not survive — but a retried attempt must
-		// never replay the aborted attempt's ops on top of its own.
-		b.keys, b.vals, b.dels = b.keys[:0], b.vals[:0], b.dels[:0]
-		b.attempt = tx.Attempt()
-		fresh = true
-	}
-	b.keys = append(b.keys, key)
-	b.vals = append(b.vals, val)
-	b.dels = append(b.dels, del)
-	w.mu.Unlock()
-	if fresh {
-		tx.Defer(func() { w.commitTx(id, tx) }, func() { w.abortTx(id) })
-	}
-}
-
-// commitTx is the onCommit hook: encode the attempt's buffered ops as one
-// record stamped with the commit version and hand it to the group-commit
-// daemon. The durability verdict is parked for Ack (the TM durable-ack
-// barrier) to collect; in non-durable mode it is dropped — the record
-// still reaches the daemon, the committer just does not wait.
-func (w *WAL[V]) commitTx(id uint64, tx *core.Tx) {
-	w.mu.Lock()
-	b := w.pending[id]
-	delete(w.pending, id)
-	w.mu.Unlock()
-	if b == nil {
+	r := tx.Redo(w)
+	if r.Err != nil {
 		return
 	}
-	rec, err := appendWALRecord(nil, w.codec, tx.CommitVersion(), b)
-	var ch <-chan error
-	if err != nil {
-		ec := make(chan error, 1)
-		ec <- err
-		ch = ec
-	} else {
-		ch = w.d.Append(rec)
+	buf := r.Buf
+	if len(buf) == 0 {
+		buf = append(buf, make([]byte, walRecordHead)...)
 	}
-	if !w.durable {
-		return
+	op := walOpPut
+	if del {
+		op = walOpDelete
 	}
-	w.mu.Lock()
-	w.acks[id] = ch
-	w.mu.Unlock()
+	buf = append(buf, op)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(key)))
+	if !del {
+		var err error
+		if buf, err = appendValue(buf, w.codec, val); err != nil {
+			r.Err = err
+			return
+		}
+	}
+	binary.LittleEndian.PutUint32(buf[8:], binary.LittleEndian.Uint32(buf[8:])+1)
+	r.Buf = buf
 }
 
-// abortTx is the onAbort hook: the attempt's buffered ops never happened.
-func (w *WAL[V]) abortTx(id uint64) {
-	w.mu.Lock()
-	delete(w.pending, id)
-	w.mu.Unlock()
+// CommitRedo implements core.RedoSink; the runtime calls it once per
+// committed attempt that logged into w. It stamps the record with the
+// commit version, seals it with its CRC and hands a copy to the
+// group-commit daemon, whose sequence number is the ticket Ack redeems.
+// A record that failed to encode is never written.
+func (w *WAL[V]) CommitRedo(tx *core.Tx, log *core.RedoLog) uint64 {
+	if log.Err != nil {
+		return 0
+	}
+	binary.LittleEndian.PutUint64(log.Buf, tx.CommitVersion())
+	log.Buf = binary.LittleEndian.AppendUint32(log.Buf, crc32.ChecksumIEEE(log.Buf))
+	return w.d.Append(log.Buf)
 }
 
 // Ack blocks until the transaction's WAL record is durable and returns
-// its verdict; transactions that logged nothing (or a WAL in non-durable
-// mode) return immediately. Map.AttachWAL installs it as the TM's
-// durable-ack barrier, which is what parks concurrent committers inside
-// Atomically while one fsync covers all of them.
+// its verdict — the daemon's, or the error that kept the record from
+// being encoded; transactions that logged nothing (or a WAL in
+// non-durable mode) return immediately. Map.AttachWAL installs it as the
+// TM's durable-ack barrier, which is what parks concurrent committers
+// inside Atomically while one fsync covers all of them.
 func (w *WAL[V]) Ack(tx *core.Tx) error {
-	id := tx.ID()
-	w.mu.Lock()
-	ch := w.acks[id]
-	delete(w.acks, id)
-	w.mu.Unlock()
-	if ch == nil {
+	if !w.durable {
 		return nil
 	}
-	return <-ch
+	log := tx.CommittedRedo(w)
+	if log == nil {
+		return nil
+	}
+	if log.Err != nil {
+		return log.Err
+	}
+	return w.d.Wait(log.Ticket())
 }
 
 // Close drains and fsyncs the log. The Map should be quiesced first:
@@ -328,27 +295,6 @@ func (w *WAL[V]) TrimTo(ver uint64) (removed int, err error) {
 	return removed, nil
 }
 
-// appendWALRecord frames one committed write set.
-func appendWALRecord[V any](buf []byte, codec Codec[V], ver uint64, b *walTxBuf[V]) ([]byte, error) {
-	start := len(buf)
-	buf = binary.LittleEndian.AppendUint64(buf, ver)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(b.keys)))
-	var err error
-	for i := range b.keys {
-		if b.dels[i] {
-			buf = append(buf, walOpDelete)
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(b.keys[i])))
-			continue
-		}
-		buf = append(buf, walOpPut)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(b.keys[i])))
-		if buf, err = appendValue(buf, codec, b.vals[i]); err != nil {
-			return nil, err
-		}
-	}
-	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:])), nil
-}
-
 // WALSegmentInfo describes one scanned segment, for tooling and trim.
 type WALSegmentInfo struct {
 	Path  string
@@ -376,13 +322,16 @@ func (wi WALSegmentInfo) String() string {
 		wi.Path, wi.Seq, wi.Codec, wi.Records, wi.Ops, wi.MinVersion, wi.MaxVersion, wi.Size, wi.Damage)
 }
 
-// walRecord is one decoded redo record.
-type walRecord[V any] struct {
-	ver  uint64
-	keys []int
-	vals []V
-	dels []bool
+// walRecord is one intact redo record of a replayed tail: its commit
+// version and its ops, the range [lo, hi) of the replay's op arrays.
+type walRecord struct {
+	ver    uint64
+	lo, hi int
 }
+
+// walOpFunc sees one operation of the record being walked: its key,
+// whether it is a delete, and a put's encoded value.
+type walOpFunc func(key int, del bool, raw []byte) error
 
 // parseWALHeader verifies a segment's header and returns the codec name
 // plus a cursor positioned at the first record.
@@ -425,109 +374,94 @@ func parseWALHeader(path string, data []byte) (string, *reader, error) {
 	return string(codec), r, nil
 }
 
-// parseWALRecord decodes one record at the cursor; decode is called per
-// op (the codec-free walk passes a keep-the-bytes decode). A nil error
-// with ok=false means the cursor was already at a clean end of file.
-func parseWALRecord[V any](path string, r *reader, decode func([]byte) (V, error)) (walRecord[V], bool, error) {
-	var rec walRecord[V]
+// walkWALRecord walks the record at the cursor and checks its structure
+// and CRC, returning its commit version and op count. op, when non-nil,
+// sees every operation as it is read — before the CRC is checked, so a
+// caller drops what it kept of a record that fails. A nil error with
+// ok=false means the cursor was already at a clean end of file.
+func walkWALRecord(path string, r *reader, op walOpFunc) (ver uint64, ops int, ok bool, err error) {
 	if r.off == len(r.data) {
-		return rec, false, nil
+		return 0, 0, false, nil
 	}
 	start := r.off
-	bad := func(format string, args ...any) (walRecord[V], bool, error) {
-		return rec, false, fmt.Errorf("%w: %s: record at offset %d: %s", ErrCorrupt, path, start, fmt.Sprintf(format, args...))
+	bad := func(format string, args ...any) error {
+		return fmt.Errorf("%w: %s: record at offset %d: %s", ErrCorrupt, path, start, fmt.Sprintf(format, args...))
 	}
-	// cut is bad's torn-classified sibling: the parse ran off the end of
+	// cut is bad's torn-classified sibling: the walk ran off the end of
 	// the file, the shape a power cut legally leaves.
-	cut := func(format string, args ...any) (walRecord[V], bool, error) {
-		return rec, false, fmt.Errorf("%w: %w: %s: record at offset %d: %s", ErrCorrupt, ErrTornTail, path, start, fmt.Sprintf(format, args...))
+	cut := func(format string, args ...any) error {
+		return fmt.Errorf("%w: %w: %s: record at offset %d: %s", ErrCorrupt, ErrTornTail, path, start, fmt.Sprintf(format, args...))
 	}
-	ver, err := r.u64()
-	if err != nil {
-		return cut("truncated version")
+	if ver, err = r.u64(); err != nil {
+		return 0, 0, false, cut("truncated version")
 	}
 	count, err := r.u32()
 	if err != nil {
-		return cut("truncated count")
+		return 0, 0, false, cut("truncated count")
 	}
-	rec.ver = ver
 	for i := uint32(0); i < count; i++ {
-		op, err := r.u8()
+		kind, err := r.u8()
 		if err != nil {
-			return cut("truncated op %d", i)
+			return 0, 0, false, cut("truncated op %d", i)
 		}
 		k, err := r.u64()
 		if err != nil {
-			return cut("truncated key of op %d", i)
+			return 0, 0, false, cut("truncated key of op %d", i)
 		}
-		key := int(int64(k))
-		switch op {
+		var raw []byte
+		switch kind {
 		case walOpDelete:
-			var zero V
-			rec.keys = append(rec.keys, key)
-			rec.vals = append(rec.vals, zero)
-			rec.dels = append(rec.dels, true)
 		case walOpPut:
 			n, err := r.u32()
 			if err != nil {
-				return cut("truncated value length of op %d", i)
+				return 0, 0, false, cut("truncated value length of op %d", i)
 			}
-			raw, err := r.take(int(n))
-			if err != nil {
-				return cut("truncated value of op %d", i)
+			if raw, err = r.take(int(n)); err != nil {
+				return 0, 0, false, cut("truncated value of op %d", i)
 			}
-			v, err := decode(raw)
-			if err != nil {
-				return bad("value of op %d: %v", i, err)
-			}
-			rec.keys = append(rec.keys, key)
-			rec.vals = append(rec.vals, v)
-			rec.dels = append(rec.dels, false)
 		default:
-			return bad("unknown op %d", op)
+			return 0, 0, false, bad("unknown op %d", kind)
+		}
+		if op != nil {
+			if err := op(int(int64(k)), kind == walOpDelete, raw); err != nil {
+				return 0, 0, false, bad("value of op %d: %v", i, err)
+			}
 		}
 	}
 	crc, err := r.u32()
 	if err != nil {
-		return cut("truncated checksum")
+		return 0, 0, false, cut("truncated checksum")
 	}
 	if got := crc32.ChecksumIEEE(r.data[start : r.off-4]); got != crc {
-		return bad("checksum %08x, record claims %08x", got, crc)
+		return 0, 0, false, bad("checksum %08x, record claims %08x", got, crc)
 	}
-	return rec, true, nil
+	return ver, int(count), true, nil
 }
 
-// readWALInfo scans one segment structurally (no value decode). In
-// strict mode any damage — torn tail included — is ErrCorrupt; otherwise
-// the intact prefix is summarized and Torn/Damage mark the rest.
+// readWALInfo scans one segment structurally: it counts the intact
+// records and bounds their versions without decoding a value or keeping a
+// record, so its allocations are per segment, not per record. In strict
+// mode any damage — torn tail included — is ErrCorrupt; otherwise the
+// intact prefix is summarized and Torn/Damage mark the rest.
 func readWALInfo(fsys faultfs.FS, sg walsync.Segment, strict bool) (WALSegmentInfo, error) {
 	info := WALSegmentInfo{Path: sg.Path, Seq: sg.Seq}
 	mode := walTolerateAll
 	if strict {
 		mode = walStrict
 	}
-	recs, codec, size, damage, err := readWALSegment(fsys, sg, func(raw []byte) (struct{}, error) {
-		return struct{}{}, nil
-	}, mode)
+	codec, size, damage, err := readWALSegment(fsys, sg, mode, nil, func(ver uint64, ops int) {
+		info.Records++
+		info.Ops += ops
+		if info.Records == 1 || ver < info.MinVersion {
+			info.MinVersion = ver
+		}
+		info.MaxVersion = max(info.MaxVersion, ver)
+	})
 	if err != nil {
 		return info, err
 	}
 	info.Codec, info.Size, info.Damage = codec, size, damage
 	info.Torn = damage != DamageNone
-	for _, rec := range recs {
-		info.Records++
-		info.Ops += len(rec.keys)
-		if info.Records == 1 {
-			info.MinVersion, info.MaxVersion = rec.ver, rec.ver
-			continue
-		}
-		if rec.ver < info.MinVersion {
-			info.MinVersion = rec.ver
-		}
-		if rec.ver > info.MaxVersion {
-			info.MaxVersion = rec.ver
-		}
-	}
 	return info, nil
 }
 
@@ -547,12 +481,14 @@ const (
 	walTolerateAll
 )
 
-// readWALSegment reads a segment's intact record prefix; mode governs
-// what damage past it does (see the constants above).
-func readWALSegment[V any](fsys faultfs.FS, sg walsync.Segment, decode func([]byte) (V, error), mode int) (recs []walRecord[V], codec string, size int64, damage DamageKind, err error) {
+// readWALSegment reads a segment and walks its intact record prefix: op
+// (when non-nil) sees each record's operations, then record sees its
+// version and op count. mode governs what damage past the prefix does
+// (see the constants above); a damaged record never reaches record.
+func readWALSegment(fsys faultfs.FS, sg walsync.Segment, mode int, op walOpFunc, record func(ver uint64, ops int)) (codec string, size int64, damage DamageKind, err error) {
 	data, err := faultfs.ReadFile(fsys, sg.Path)
 	if err != nil {
-		return nil, "", 0, DamageNone, fmt.Errorf("persistmap: %w", err)
+		return "", 0, DamageNone, fmt.Errorf("persistmap: %w", err)
 	}
 	size = int64(len(data))
 	tolerated := func(perr error) bool {
@@ -568,24 +504,24 @@ func readWALSegment[V any](fsys faultfs.FS, sg walsync.Segment, decode func([]by
 	codec, r, err := parseWALHeader(sg.Path, data)
 	if err != nil {
 		if !tolerated(err) {
-			return nil, "", size, classifyDamage(err), err
+			return "", size, classifyDamage(err), err
 		}
 		// A header that never finished hitting disk: an empty torn
 		// segment, nothing to replay.
-		return nil, "", size, classifyDamage(err), nil
+		return "", size, classifyDamage(err), nil
 	}
 	for {
-		rec, ok, rerr := parseWALRecord(sg.Path, r, decode)
+		ver, ops, ok, rerr := walkWALRecord(sg.Path, r, op)
 		if rerr != nil {
 			if !tolerated(rerr) {
-				return nil, codec, size, classifyDamage(rerr), rerr
+				return codec, size, classifyDamage(rerr), rerr
 			}
-			return recs, codec, size, classifyDamage(rerr), nil
+			return codec, size, classifyDamage(rerr), nil
 		}
 		if !ok {
-			return recs, codec, size, DamageNone, nil
+			return codec, size, DamageNone, nil
 		}
-		recs = append(recs, rec)
+		record(ver, ops)
 	}
 }
 
@@ -712,7 +648,29 @@ func (s *Store[V]) Replay(m *Map[V]) (*ReplayInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	var tail []walRecord[V]
+	// The tail's ops, in file order, in flat arrays the records index.
+	var (
+		tail []walRecord
+		keys []int
+		vals []V
+		dels []bool
+	)
+	decode := func(key int, del bool, raw []byte) error {
+		var v V
+		if !del {
+			var err error
+			if v, err = s.codec.Decode(raw); err != nil {
+				return err
+			}
+		}
+		keys, vals, dels = append(keys, key), append(vals, v), append(dels, del)
+		return nil
+	}
+	kept := 0 // ops of the intact records so far
+	record := func(ver uint64, _ int) {
+		tail = append(tail, walRecord{ver: ver, lo: kept, hi: len(keys)})
+		kept = len(keys)
+	}
 	for i, sg := range segs {
 		// The newest segment tolerates ANY damage — a crash can land a
 		// full-length record with garbage bytes, not just a truncation —
@@ -723,7 +681,8 @@ func (s *Store[V]) Replay(m *Map[V]) (*ReplayInfo, error) {
 		if i == len(segs)-1 {
 			mode = walTolerateAll
 		}
-		recs, codec, _, damage, err := readWALSegment(s.fs, sg, s.codec.Decode, mode)
+		before := len(tail)
+		codec, _, damage, err := readWALSegment(s.fs, sg, mode, decode, record)
 		if err != nil {
 			return nil, err
 		}
@@ -731,11 +690,12 @@ func (s *Store[V]) Replay(m *Map[V]) (*ReplayInfo, error) {
 			return nil, fmt.Errorf("persistmap: %s: segment codec %q, store uses %q", sg.Path, codec, s.codec.Name())
 		}
 		info.Segments++
-		info.Records += len(recs)
+		info.Records += len(tail) - before
 		if damage != DamageNone {
 			info.TornTail = true
 		}
-		tail = append(tail, recs...)
+		// Drop the ops a damaged record decoded before it failed.
+		keys, vals, dels = keys[:kept], vals[:kept], dels[:kept]
 	}
 	// File order is enqueue order, not commit order; redo must apply in
 	// commit-version order (conflicting writers serialized through cell
@@ -753,10 +713,10 @@ func (s *Store[V]) Replay(m *Map[V]) (*ReplayInfo, error) {
 		if rec.ver > info.Version {
 			info.Version = rec.ver
 		}
-		for i := range rec.keys {
-			d.keys = append(d.keys, rec.keys[i])
-			d.vals = append(d.vals, rec.vals[i])
-			if rec.dels[i] {
+		for i := rec.lo; i < rec.hi; i++ {
+			d.keys = append(d.keys, keys[i])
+			d.vals = append(d.vals, vals[i])
+			if dels[i] {
 				d.kinds = append(d.kinds, txstruct.DiffDeleted)
 			} else {
 				d.kinds = append(d.kinds, txstruct.DiffChanged)

@@ -52,13 +52,12 @@ func TestFsyncFailurePoisons(t *testing.T) {
 	}
 
 	// One durable record before the fault.
-	if err := <-d.Append([]byte("aaaa")); err != nil {
+	if err := d.Wait(d.Append([]byte("aaaa"))); err != nil {
 		t.Fatalf("pre-fault append: %v", err)
 	}
 
 	killer.arm()
-	ack := d.Append([]byte("bbbb"))
-	err = <-ack
+	err = d.Wait(d.Append([]byte("bbbb")))
 	if !errors.Is(err, ErrDurabilityLost) || !errors.Is(err, faultfs.ErrIO) {
 		t.Fatalf("poisoned ack error = %v, want ErrDurabilityLost wrapping ErrIO", err)
 	}
@@ -78,7 +77,7 @@ func TestFsyncFailurePoisons(t *testing.T) {
 	if e := d.Err(); !errors.Is(e, ErrDurabilityLost) {
 		t.Fatalf("Err() = %v", e)
 	}
-	if e := <-d.Append([]byte("cccc")); !errors.Is(e, ErrDurabilityLost) {
+	if e := d.Wait(d.Append([]byte("cccc"))); !errors.Is(e, ErrDurabilityLost) {
 		t.Fatalf("post-poison append: %v", e)
 	}
 	if e := d.Close(); !errors.Is(e, ErrDurabilityLost) {
@@ -117,17 +116,17 @@ func TestRollFailurePoisons(t *testing.T) {
 	}
 	// SegmentBytes=1: every batch triggers a roll. Fail the roll's
 	// create.
-	if err := <-d.Append([]byte("a")); err != nil {
+	if err := d.Wait(d.Append([]byte("a"))); err != nil {
 		t.Fatalf("append: %v", err)
 	}
 	ffs.SetInjector(failKind{kind: faultfs.OpCreate})
 	// The first append's roll opened segment 2 before its ack; this
 	// append's roll hits the injected create failure. Its record was
 	// synced first, so it is acked durable.
-	if err := <-d.Append([]byte("b")); err != nil {
+	if err := d.Wait(d.Append([]byte("b"))); err != nil {
 		t.Fatalf("append whose roll failed, after its sync: %v", err)
 	}
-	if e := <-d.Append([]byte("c")); !errors.Is(e, ErrDurabilityLost) {
+	if e := d.Wait(d.Append([]byte("c"))); !errors.Is(e, ErrDurabilityLost) {
 		t.Fatalf("append after failed roll: %v", e)
 	}
 	if e := d.Close(); !errors.Is(e, ErrDurabilityLost) {

@@ -53,23 +53,23 @@ func TestGroupCommitBackpressureUnderSyncStall(t *testing.T) {
 	}
 
 	// One durable record before the stall.
-	if err := <-d.Append([]byte("a0a0")); err != nil {
+	if err := d.Wait(d.Append([]byte("a0a0"))); err != nil {
 		t.Fatalf("pre-stall append: %v", err)
 	}
 
 	// Arm, append the record whose fsync will stall, and wait until the
 	// stall is underway (the injector signals from inside the sync).
 	staller.arm()
-	acks := []<-chan error{d.Append([]byte("a1a1"))}
+	tickets := []uint64{d.Append([]byte("a1a1"))}
 	<-staller.started
 
 	// These three arrive while the fsync is stalled: the daemon must hold
 	// them and cover all of them with the next sync.
 	for i := 0; i < 3; i++ {
-		acks = append(acks, d.Append([]byte(fmt.Sprintf("b%db%d", i, i))))
+		tickets = append(tickets, d.Append([]byte(fmt.Sprintf("b%db%d", i, i))))
 	}
-	for i, ch := range acks {
-		if err := <-ch; err != nil {
+	for i, tk := range tickets {
+		if err := d.Wait(tk); err != nil {
 			t.Fatalf("ack %d under stall: %v", i, err)
 		}
 	}

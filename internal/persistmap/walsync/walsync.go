@@ -1,11 +1,26 @@
 // Package walsync is the group-commit daemon under persistmap's
-// write-ahead log: a single goroutine that drains an append queue of
+// write-ahead log: a single goroutine that drains a staging buffer of
 // opaque, already-framed records into segment files, batches every record
-// that arrived while the previous fsync was in flight into ONE fsync, and
-// acknowledges each committer only once its record is durable. That
-// batching is the whole point — with N goroutines committing
+// that arrived while the previous fsync was in flight into ONE write and
+// ONE fsync, and acknowledges each committer only once its record is
+// durable. That batching is the whole point — with N goroutines committing
 // concurrently, the fsync cost is paid once per batch instead of once per
 // commit, which is what makes always-on durability affordable.
+//
+// Append copies a record into the staging buffer and returns its sequence
+// number, a ticket; Wait redeems the ticket once the durable prefix covers
+// it. The daemon keeps two staging buffers and swaps them per batch, so a
+// warm append and its wait allocate nothing: committers keep filling one
+// buffer while the daemon writes the other.
+//
+// The staging buffer is bounded by its committers, not by a cap. A durable
+// committer blocks in Wait until its record is synced, so the buffer holds
+// at most one record per committer parked there — N concurrent durable
+// committers stage at most N records between two fsyncs, whatever the
+// disk's speed. Only non-durable appenders, who never wait, can outrun the
+// disk; for them the buffer grows with the backlog (bounded by the
+// appenders' own rate), and the daemon drops a swapped-out buffer past 1
+// MiB instead of keeping its capacity.
 //
 // The daemon is deliberately format-agnostic: persistmap owns the record
 // framing and the per-segment header bytes; walsync owns files, batching,
@@ -40,7 +55,7 @@ var ErrClosed = errors.New("walsync: daemon closed")
 // ErrDurabilityLost marks a poisoned daemon: a write or fsync on the open
 // segment failed, so the segment's tail is in an unknown state and no
 // further record can ever be promised durable through it. The failed
-// batch, everything queued behind it, and every later Append all fail
+// batch, everything staged behind it, and every later Append all fail
 // with an error wrapping both this sentinel and the root cause.
 //
 // The one thing a poisoned daemon must NEVER do is retry the fsync and
@@ -62,8 +77,8 @@ type Config struct {
 	// open segment at or beyond it, the segment is sealed and a new one
 	// started. <= 0 means the default (4 MiB).
 	SegmentBytes int64
-	// MaxBatch caps how many queued records one fsync covers; 0 is
-	// unbounded (drain everything queued). The bench sweeps this knob.
+	// MaxBatch caps how many staged records one fsync covers; 0 is
+	// unbounded (drain everything staged).
 	MaxBatch int
 	// BeforeSync, when set, runs after a batch's bytes are written but
 	// BEFORE their fsync; returning true injects a crash: the open
@@ -86,6 +101,10 @@ type Config struct {
 // defaultSegmentBytes is the roll threshold when Config leaves it unset.
 const defaultSegmentBytes = 4 << 20
 
+// maxSpareBytes is the largest staging buffer the daemon keeps for reuse
+// after writing it out.
+const maxSpareBytes = 1 << 20
+
 // Stats is a snapshot of the daemon's group-commit counters.
 type Stats struct {
 	// Records is how many records were durably synced; Batches how many
@@ -99,34 +118,44 @@ type Stats struct {
 	Bytes int64
 }
 
-// pending is one queued record with its acknowledgement channel.
-type pending struct {
-	rec []byte
-	ack chan error
-}
-
-// Daemon is the group-commit goroutine plus its queue. Append may be
-// called from any number of goroutines; Close waits for the queue to
-// drain.
+// Daemon is the group-commit goroutine plus its staging buffer. Append and
+// Wait may be called from any number of goroutines; Close waits for the
+// staged records to drain.
 type Daemon struct {
 	cfg Config
 
-	mu      sync.Mutex
-	queue   []pending
+	mu sync.Mutex
+	// work wakes the loop when a record is staged or Close is called;
+	// durable wakes the waiters when the synced prefix grows or the
+	// daemon stops. Both are conditions on mu.
+	work, durable sync.Cond
+	// stage holds the records appended since the loop last took a batch,
+	// back to back; ends[i] is the end offset of record i in stage.
+	stage []byte
+	ends  []int
+	// appended is the sequence number of the newest staged record, synced
+	// that of the newest durable one: records are numbered from 1 in
+	// append order, and every record up to synced is on disk.
+	appended, synced uint64
+	// failed, once set, is the verdict of every record past synced: the
+	// daemon has stopped (clean close or injected crash: ErrClosed; a
+	// failed write, fsync or roll: the poison).
+	failed  error
 	closing bool
-	closed  bool
 	stats   Stats
 	seq     uint64 // open segment's sequence
 	poison  error  // set once when durability is lost; sticky
 
-	wake chan struct{}
 	done chan struct{}
 
 	// Loop-goroutine state: the open segment file, its total and synced
-	// sizes. Only the loop touches these after Start.
+	// sizes, and the staging buffers swapped out at the last batch. Only
+	// the loop touches these after Start.
 	f          faultfs.File
 	size       int64
 	syncedSize int64
+	spare      []byte
+	spareEnds  []int
 
 	finalErr error
 }
@@ -191,7 +220,9 @@ func Start(cfg Config) (*Daemon, error) {
 	if n := len(segs); n > 0 {
 		seq = segs[n-1].Seq + 1
 	}
-	d := &Daemon{cfg: cfg, seq: seq, wake: make(chan struct{}, 1), done: make(chan struct{})}
+	d := &Daemon{cfg: cfg, seq: seq, done: make(chan struct{})}
+	d.work.L = &d.mu
+	d.durable.L = &d.mu
 	if err := d.openSegment(seq); err != nil {
 		return nil, err
 	}
@@ -231,29 +262,41 @@ func (d *Daemon) openSegment(seq uint64) error {
 	return nil
 }
 
-// Append enqueues one framed record and returns the channel its
-// durability verdict arrives on: nil once the record is fsynced, an error
-// if it never will be. The channel is buffered — a caller that does not
-// care (buffered, non-durable mode) may simply drop it.
-func (d *Daemon) Append(rec []byte) <-chan error {
-	ack := make(chan error, 1)
+// Append stages a copy of one framed record — the caller may reuse rec as
+// soon as Append returns — and returns its ticket for Wait. A daemon that
+// is closing or stopped stages nothing; the ticket it returns makes Wait
+// report why.
+func (d *Daemon) Append(rec []byte) uint64 {
 	d.mu.Lock()
-	if d.closing || d.closed {
-		err := d.poison
-		d.mu.Unlock()
-		if err == nil {
-			err = ErrClosed
+	defer d.mu.Unlock()
+	if d.closing || d.failed != nil {
+		return d.appended + 1
+	}
+	d.stage = append(d.stage, rec...)
+	d.ends = append(d.ends, len(d.stage))
+	d.appended++
+	d.work.Signal()
+	return d.appended
+}
+
+// Wait blocks until the record behind ticket is durable and returns its
+// verdict: nil once it is fsynced, ErrClosed or the poison (wrapping
+// ErrDurabilityLost) if it never will be. Ticket 0 names no record and
+// returns nil at once.
+func (d *Daemon) Wait(ticket uint64) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for {
+		switch {
+		case ticket <= d.synced:
+			return nil
+		case d.failed != nil:
+			return d.failed
+		case ticket > d.appended:
+			return ErrClosed // refused by a closing daemon
 		}
-		ack <- err
-		return ack
+		d.durable.Wait()
 	}
-	d.queue = append(d.queue, pending{rec: rec, ack: ack})
-	d.mu.Unlock()
-	select {
-	case d.wake <- struct{}{}:
-	default:
-	}
-	return ack
 }
 
 // CurrentSeq returns the open segment's sequence. Sealed segments (every
@@ -280,125 +323,135 @@ func (d *Daemon) Err() error {
 	return d.poison
 }
 
-// Close drains the queue, fsyncs and closes the open segment, and stops
-// the daemon. Appends racing with Close get ErrClosed.
+// Close drains the staged records, fsyncs and closes the open segment, and
+// stops the daemon. Appends racing with Close get ErrClosed.
 func (d *Daemon) Close() error {
 	d.mu.Lock()
-	if d.closing || d.closed {
-		d.mu.Unlock()
-		<-d.done
-		return d.finalErr
-	}
 	d.closing = true
+	d.work.Signal()
 	d.mu.Unlock()
-	select {
-	case d.wake <- struct{}{}:
-	default:
-	}
 	<-d.done
 	return d.finalErr
 }
 
-// loop is the group-commit goroutine: drain a batch, write it, (crash
-// hook), fsync once, roll if the segment is full, ack everyone in it.
-// Rolling before the ack means a committer that has its ack also sees
-// CurrentSeq past every full segment its record could be in, so a TrimTo
-// it issues next is not racing the seal.
+// loop is the group-commit goroutine: take everything staged, swapping in
+// the spare buffers for the appenders, and flush it.
 func (d *Daemon) loop() {
 	defer close(d.done)
 	for {
 		d.mu.Lock()
-		if len(d.queue) == 0 {
-			if d.closing {
-				d.closed = true
-				d.mu.Unlock()
-				d.finalErr = d.shutdown(nil)
-				return
-			}
-			d.mu.Unlock()
-			<-d.wake
-			continue
+		for len(d.ends) == 0 && !d.closing {
+			d.work.Wait()
 		}
-		n := len(d.queue)
+		if len(d.ends) == 0 {
+			d.mu.Unlock()
+			d.finalErr = d.shutdown()
+			d.stop(ErrClosed)
+			return
+		}
+		buf, ends := d.stage, d.ends
+		d.stage, d.ends = d.spare[:0], d.spareEnds[:0]
+		first := d.appended - uint64(len(ends)) + 1
+		d.mu.Unlock()
+
+		if !d.flush(buf, ends, first) {
+			return
+		}
+		if cap(buf) > maxSpareBytes {
+			buf, ends = nil, nil
+		}
+		d.spare, d.spareEnds = buf, ends
+	}
+}
+
+// flush makes the taken records durable — buf holds them back to back,
+// ends their end offsets, first the ticket of the first — in batches of at
+// most MaxBatch: one write, (crash hook), one fsync, a roll if the segment
+// is full, then the synced prefix grows and the batch's waiters wake.
+// Rolling before the wake means a committer that has its ack also sees
+// CurrentSeq past every full segment its record could be in, so a TrimTo
+// it issues next is not racing the seal. flush reports false once the
+// daemon has stopped.
+func (d *Daemon) flush(buf []byte, ends []int, first uint64) bool {
+	start := 0
+	for i := 0; i < len(ends); {
+		n := len(ends) - i
 		if d.cfg.MaxBatch > 0 && n > d.cfg.MaxBatch {
 			n = d.cfg.MaxBatch
 		}
-		batch := make([]pending, n)
-		copy(batch, d.queue)
-		rest := d.queue[n:]
-		d.queue = append(d.queue[:0:0], rest...)
-		d.mu.Unlock()
-
-		var werr error
-		for _, p := range batch {
-			if werr == nil {
-				var wn int
-				wn, werr = d.f.Write(p.rec)
-				d.size += int64(wn)
-			}
-		}
-		if werr == nil && d.cfg.BeforeSync != nil && d.cfg.BeforeSync(len(batch)) {
+		end := ends[i+n-1]
+		wn, err := d.f.Write(buf[start:end])
+		d.size += int64(wn)
+		if err == nil && d.cfg.BeforeSync != nil && d.cfg.BeforeSync(n) {
 			// Injected mid-batch kill: the batch's bytes reached the page
 			// cache but not the platter. Truncating back to the synced
 			// prefix is exactly what the machine losing power would do to
-			// them; the committers parked on these acks must see failure,
-			// not silence.
-			d.crash(batch)
-			return
+			// them; the committers waiting on these records must see
+			// failure, not silence.
+			d.crash()
+			return false
 		}
-		if werr == nil {
-			werr = d.f.Sync()
+		if err == nil {
+			err = d.f.Sync()
 		}
-		if werr != nil {
+		if err != nil {
 			// A write or fsync failure leaves the segment's tail in an
 			// unknown state — after a failed fsync the kernel may already
 			// have dropped the dirty pages, so retrying the fsync and
 			// acking on "success" would claim durability for lost bytes
 			// (fsyncgate). The only sound move is to poison: fail this
 			// batch and everything after it, permanently.
-			d.poisonAll(batch, werr)
-			return
+			d.poisonAll(err)
+			return false
 		}
 		d.syncedSize = d.size
-		d.mu.Lock()
-		d.stats.Batches++
-		d.stats.Records += uint64(len(batch))
-		if len(batch) > d.stats.MaxBatch {
-			d.stats.MaxBatch = len(batch)
-		}
-		for _, p := range batch {
-			d.stats.Bytes += int64(len(p.rec))
-		}
-		seq := d.seq
-		d.mu.Unlock()
 		var rerr error
 		if d.size >= d.cfg.SegmentBytes {
-			rerr = d.roll(seq)
+			rerr = d.roll()
 		}
-		for _, p := range batch {
-			p.ack <- nil // synced above, whatever became of the roll
-		}
+		d.mu.Lock()
+		d.stats.Batches++
+		d.stats.Records += uint64(n)
+		d.stats.MaxBatch = max(d.stats.MaxBatch, n)
+		d.stats.Bytes += int64(end - start)
+		d.synced = first + uint64(i+n) - 1 // synced above, whatever became of the roll
+		d.durable.Broadcast()
+		d.mu.Unlock()
 		if rerr != nil {
 			// No further record can ever be made durable: poison.
-			d.poisonAll(nil, rerr)
-			return
+			d.poisonAll(rerr)
+			return false
 		}
+		i += n
+		start = end
 	}
+	return true
 }
 
 // roll seals the open segment (its bytes are already synced) and opens
 // the next one.
-func (d *Daemon) roll(seq uint64) error {
+func (d *Daemon) roll() error {
 	if err := d.f.Close(); err != nil {
 		return fmt.Errorf("walsync: %w", err)
 	}
-	return d.openSegment(seq + 1)
+	return d.openSegment(d.seq + 1)
 }
 
-// shutdown finishes a clean close: the queue is empty, the segment
-// synced.
-func (d *Daemon) shutdown(err error) error {
-	if serr := d.f.Sync(); err == nil && serr != nil {
+// stop ends the daemon's life under err: every record past the synced
+// prefix — the unsynced batch and everything still staged — fails with it,
+// and so does every later Append.
+func (d *Daemon) stop(err error) {
+	d.mu.Lock()
+	d.failed = err
+	d.stage, d.ends = nil, nil
+	d.durable.Broadcast()
+	d.mu.Unlock()
+}
+
+// shutdown finishes a clean close: nothing is staged, the segment synced.
+func (d *Daemon) shutdown() error {
+	var err error
+	if serr := d.f.Sync(); serr != nil {
 		err = fmt.Errorf("walsync: %w", serr)
 	}
 	if cerr := d.f.Close(); err == nil && cerr != nil {
@@ -408,45 +461,27 @@ func (d *Daemon) shutdown(err error) error {
 }
 
 // crash implements the injected kill: revert the open segment to its
-// synced prefix, fail the in-flight batch and everything still queued,
+// synced prefix, fail the in-flight batch and everything still staged,
 // and stop.
-func (d *Daemon) crash(batch []pending) {
+func (d *Daemon) crash() {
 	d.f.Truncate(d.syncedSize)
 	d.f.Sync()
 	d.f.Close()
 	d.size = d.syncedSize
-	d.mu.Lock()
-	d.closed = true
-	q := d.queue
-	d.queue = nil
-	d.mu.Unlock()
-	for _, p := range batch {
-		p.ack <- ErrClosed
-	}
-	for _, p := range q {
-		p.ack <- ErrClosed
-	}
 	d.finalErr = ErrClosed
+	d.stop(ErrClosed)
 }
 
-// poisonAll marks the daemon permanently poisoned with cause, reports the
-// wrapped error to the failed batch, everything queued, and Close, and
-// notifies OnDurabilityLost. The open segment is closed WITHOUT a retry
-// fsync — its tail stays whatever the kernel left.
-func (d *Daemon) poisonAll(batch []pending, cause error) {
+// poisonAll marks the daemon permanently poisoned with cause, fails the
+// unsynced batch, everything staged, every later Append and Close with the
+// wrapped error, and notifies OnDurabilityLost. The open segment is closed
+// WITHOUT a retry fsync — its tail stays whatever the kernel left.
+func (d *Daemon) poisonAll(cause error) {
 	err := fmt.Errorf("%w: %w", ErrDurabilityLost, cause)
 	d.mu.Lock()
-	d.closed = true
 	d.poison = err
-	q := d.queue
-	d.queue = nil
 	d.mu.Unlock()
-	for _, p := range batch {
-		p.ack <- err
-	}
-	for _, p := range q {
-		p.ack <- err
-	}
+	d.stop(err)
 	d.f.Close()
 	d.finalErr = err
 	if d.cfg.OnDurabilityLost != nil {

@@ -3,14 +3,19 @@ package walsync
 import (
 	"errors"
 	"os"
+	"sync"
 	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/faultfs"
 )
 
-// collect awaits every ack in order and returns the verdicts.
-func collect(chs []<-chan error) []error {
-	errs := make([]error, len(chs))
-	for i, ch := range chs {
-		errs[i] = <-ch
+// collect waits on every ticket in order and returns the verdicts.
+func collect(d *Daemon, tickets []uint64) []error {
+	errs := make([]error, len(tickets))
+	for i, tk := range tickets {
+		errs[i] = d.Wait(tk)
 	}
 	return errs
 }
@@ -39,19 +44,19 @@ func TestDaemonBatching(t *testing.T) {
 		t.Fatalf("first batch has %d records, want 1", got)
 	}
 	// The daemon is parked pre-fsync; these four pile up in the queue.
-	var rest []<-chan error
+	var rest []uint64
 	for i := 1; i <= 4; i++ {
 		rest = append(rest, d.Append([]byte("rec-n")))
 	}
 	gate <- struct{}{}
-	if err := <-first; err != nil {
+	if err := d.Wait(first); err != nil {
 		t.Fatal(err)
 	}
 	if got := <-entered; got != 4 {
 		t.Fatalf("second batch has %d records, want 4", got)
 	}
 	gate <- struct{}{}
-	for i, err := range collect(rest) {
+	for i, err := range collect(d, rest) {
 		if err != nil {
 			t.Fatalf("record %d: %v", i+1, err)
 		}
@@ -86,12 +91,12 @@ func TestDaemonMaxBatch(t *testing.T) {
 	if got := <-entered; got != 1 {
 		t.Fatalf("first batch has %d records, want 1", got)
 	}
-	var rest []<-chan error
+	var rest []uint64
 	for i := 0; i < 5; i++ {
 		rest = append(rest, d.Append([]byte("b")))
 	}
 	gate <- struct{}{}
-	if err := <-first; err != nil {
+	if err := d.Wait(first); err != nil {
 		t.Fatal(err)
 	}
 	for drained := 0; drained < 5; {
@@ -102,7 +107,7 @@ func TestDaemonMaxBatch(t *testing.T) {
 		drained += n
 		gate <- struct{}{}
 	}
-	for _, err := range collect(rest) {
+	for _, err := range collect(d, rest) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +131,7 @@ func TestDaemonRollAndRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := <-d.Append([]byte{byte('a' + i)}); err != nil {
+		if err := d.Wait(d.Append([]byte{byte('a' + i)})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -163,7 +168,7 @@ func TestDaemonRollAndRestart(t *testing.T) {
 	if got := d2.CurrentSeq(); got != 5 {
 		t.Fatalf("restart opened segment %d, want 5", got)
 	}
-	if err := <-d2.Append([]byte("z")); err != nil {
+	if err := d2.Wait(d2.Append([]byte("z"))); err != nil {
 		t.Fatal(err)
 	}
 	if err := d2.Close(); err != nil {
@@ -197,14 +202,14 @@ func TestDaemonCrashTruncates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := <-d.Append([]byte("keep")); err != nil {
+	if err := d.Wait(d.Append([]byte("keep"))); err != nil {
 		t.Fatal(err)
 	}
 	crashNext = true
-	if err := <-d.Append([]byte("lost")); !errors.Is(err, ErrClosed) {
+	if err := d.Wait(d.Append([]byte("lost"))); !errors.Is(err, ErrClosed) {
 		t.Fatalf("crashed batch acked %v, want ErrClosed", err)
 	}
-	if err := <-d.Append([]byte("after")); !errors.Is(err, ErrClosed) {
+	if err := d.Wait(d.Append([]byte("after"))); !errors.Is(err, ErrClosed) {
 		t.Fatalf("post-crash append acked %v, want ErrClosed", err)
 	}
 	if err := d.Close(); !errors.Is(err, ErrClosed) {
@@ -228,5 +233,128 @@ func TestScanSegmentsRejectsStrays(t *testing.T) {
 	}
 	if _, err := ScanSegments(dir); err == nil {
 		t.Fatal("ScanSegments accepted a stray .wal name")
+	}
+}
+
+// TestTickets pins Wait's verdicts around the ticket's life: ticket 0
+// names no record, a staged record's ticket is durable once waited on, the
+// caller may reuse its buffer as soon as Append returns, and a closed
+// daemon refuses records with ErrClosed.
+func TestTickets(t *testing.T) {
+	dir := t.TempDir()
+	d, err := Start(Config{Dir: dir, Header: []byte("H")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Wait(0); err != nil {
+		t.Fatalf("Wait(0) = %v", err)
+	}
+	rec := []byte("one")
+	first := d.Append(rec)
+	copy(rec, "XXX") // Append staged a copy
+	second := d.Append([]byte("two"))
+	if first != 1 || second != 2 {
+		t.Fatalf("tickets %d, %d, want 1, 2", first, second)
+	}
+	if err := d.Wait(second); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Wait(first); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Wait(d.Append([]byte("late"))); !errors.Is(err, ErrClosed) {
+		t.Fatalf("append after Close: %v, want ErrClosed", err)
+	}
+	data, err := os.ReadFile(SegmentPath(dir, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data) != "Honetwo" {
+		t.Fatalf("segment = %q, want %q", data, "Honetwo")
+	}
+}
+
+// TestStagingHoldsOneRecordPerCommitter pins the bound the package
+// comment states: durable committers block in Wait, so however slow the
+// fsync, no batch — no staging buffer — holds more records than there are
+// committers. Every record still lands, in one write per batch.
+func TestStagingHoldsOneRecordPerCommitter(t *testing.T) {
+	const committers, each = 8, 25
+	ffs := faultfs.New(slowSync{200 * time.Microsecond})
+	d, err := Start(Config{Dir: "wal", FS: ffs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, committers)
+	for g := 0; g < committers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if err := d.Wait(d.Append([]byte{byte('a' + g)})); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	st := d.Stats()
+	if st.Records != committers*each || st.MaxBatch > committers {
+		t.Fatalf("stats %+v: want %d records, batches of at most %d", st, committers*each, committers)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := faultfs.ReadFile(ffs, SegmentPath("wal", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) != committers*each {
+		t.Fatalf("segment holds %d bytes, want %d", len(data), committers*each)
+	}
+}
+
+// slowSync delays every file fsync.
+type slowSync struct{ d time.Duration }
+
+func (s slowSync) Fault(n int, op faultfs.OpKind, path string) *faultfs.Fault {
+	if op == faultfs.OpSync {
+		return &faultfs.Fault{Delay: s.d}
+	}
+	return nil
+}
+
+// TestAppendWaitAllocs: with the staging buffers warm, a durable append
+// and its wait allocate nothing.
+func TestAppendWaitAllocs(t *testing.T) {
+	if core.PrivatizeGuardsEnabled {
+		t.Skip("allocation counts are only meaningful without the race runtime")
+	}
+	d, err := Start(Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	rec := []byte("0123456789abcdef0123456789abcdef")
+	for i := 0; i < 10; i++ {
+		if err := d.Wait(d.Append(rec)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		if err := d.Wait(d.Append(rec)); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("append+wait allocates %.2f objects/op, want 0", allocs)
 	}
 }
