@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"runtime"
 	"slices"
 )
@@ -32,6 +31,11 @@ import (
 // usual and at worst abort themselves and retry; the coordinator decides
 // promptly (no user code runs between prepare and decide), so the locks
 // are short-lived.
+//
+// A CrossTx is caller-owned: a coordinator keeps one per shard and restarts
+// it in place with TM.BeginCross for every attempt, so the lock list keeps
+// its capacity and a warm cross-shard commit allocates nothing. The zero
+// value is an idle participant.
 type CrossTx struct {
 	tm    *TM
 	tx    *Tx
@@ -44,9 +48,9 @@ type CrossTx struct {
 type crossState int
 
 const (
-	crossActive crossState = iota
+	crossIdle crossState = iota // never begun, committed or aborted
+	crossActive
 	crossPrepared
-	crossDone
 )
 
 // crossLock is one entry of the unified prepare lock list: a written cell
@@ -58,32 +62,38 @@ type crossLock struct {
 	w       int
 }
 
-// BeginCross starts a sub-transaction of a cross-TM atomic operation. The
-// returned CrossTx must be driven to exactly one of Commit or Abort (a
-// failed Prepare aborts it implicitly). Only Classic semantics are
-// supported: elastic windows and snapshot bounds are defined against one
-// clock and have no cross-clock meaning.
-func (tm *TM) BeginCross(sem Semantics) (*CrossTx, error) {
-	if sem != Classic {
-		return nil, fmt.Errorf("core: cross-shard transactions require Classic semantics, got %s", sem)
+// BeginCross starts x as a sub-transaction of a cross-TM atomic operation,
+// in place. x must be idle (zero, committed or aborted); it must then be
+// driven to exactly one of Commit or Abort (a failed Prepare aborts it
+// implicitly). Semantics are Classic: elastic windows and snapshot bounds
+// are defined against one clock and have no cross-clock meaning.
+//
+// Every sub-transaction reads the exact clock. A coordinator retries with
+// a fresh sub-transaction, so each of its attempts would otherwise be a
+// "first attempt" on a possibly stale recent version (see beginAttempt),
+// and a stale stripe could abort the coordinator until a commit happened
+// to refresh it.
+func (tm *TM) BeginCross(x *CrossTx) {
+	if x.state != crossIdle {
+		panic("core: BeginCross on a live cross sub-transaction")
 	}
-	tx := tm.getTx(sem)
-	x := &CrossTx{tm: tm, tx: tx}
+	tx := tm.getTx(Classic)
+	tx.cross = true
+	x.tm, x.tx, x.wv, x.state = tm, tx, 0, crossActive
 	// The quiescer bracket spans the whole sub-transaction (clock sample
 	// through install), so a Privatize barrier on this TM waits out
 	// prepared participants — their pending installs must not slip past
 	// the detach epoch.
 	x.token = tm.quiesce.enter(tx.idEnd / txIDBatch)
 	tx.beginAttempt()
-	return x, nil
 }
 
 // Tx returns the live transaction handle for the active phase. User
 // operations (loads, stores, Defer) go through it exactly as inside
 // Atomically. The handle is invalid once the sub-transaction finishes.
 func (x *CrossTx) Tx() *Tx {
-	if x.state == crossDone {
-		panic("core: CrossTx handle used after commit/abort")
+	if x.state == crossIdle {
+		panic("core: CrossTx handle used outside BeginCross..Commit/Abort")
 	}
 	return x.tx
 }
@@ -95,9 +105,9 @@ func (x *CrossTx) ID() uint64 { return x.tx.id.Load() }
 func (x *CrossTx) ReadOnly() bool { return len(x.tx.writes) == 0 }
 
 // Resolved reports whether the sub-transaction already reached its end
-// state (committed or aborted). A recovery procedure resolving the
-// participants of a failed coordinator skips resolved ones.
-func (x *CrossTx) Resolved() bool { return x.state == crossDone }
+// state (committed or aborted) or was never begun. A recovery procedure
+// resolving the participants of a failed coordinator skips resolved ones.
+func (x *CrossTx) Resolved() bool { return x.state == crossIdle }
 
 // Prepared reports whether the sub-transaction is in the prepared state,
 // holding its locks and awaiting the coordinator's decision.
@@ -326,7 +336,7 @@ func (x *CrossTx) Commit() error {
 // sub-transaction): every lock is released with its cell unchanged, the
 // commit-time deltas are dropped and the Defer abort hooks run. Idempotent.
 func (x *CrossTx) Abort() {
-	if x.state == crossDone {
+	if x.state == crossIdle {
 		return
 	}
 	if x.state == crossPrepared {
@@ -364,11 +374,18 @@ func (x *CrossTx) finishAbort(reason AbortReason) {
 	x.recycle()
 }
 
-// recycle returns the handle to the pool and fences further use.
+// recycle returns the handle to the pool and fences further use. The lock
+// list keeps its capacity for the next BeginCross under the pooled read
+// set's retention policy (putTx): it holds only cell pointers, so it is not
+// cleared, and an oversized one is dropped.
 func (x *CrossTx) recycle() {
 	x.tm.quiesce.exit(x.token)
 	x.tm.putTx(x.tx)
-	x.state = crossDone
+	x.tx = nil
+	if cap(x.locks) > maxPooledEntries {
+		x.locks = nil
+	}
+	x.state = crossIdle
 }
 
 // orExplicit defaults an unset abort reason to AbortExplicit (the

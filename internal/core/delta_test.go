@@ -147,7 +147,8 @@ func TestCommitTimeDeltas(t *testing.T) {
 		}},
 		{"cross commit applies", 1, func(t *testing.T, tm *TM, n *atomic.Int64) {
 			c := NewTypedCell(tm, 0)
-			x := mustBeginCross(t, tm)
+			var x CrossTx
+			tm.BeginCross(&x)
 			c.Store(x.Tx(), 1)
 			x.Tx().AddOnCommit(n, 1)
 			if !x.Prepare() {
@@ -162,7 +163,8 @@ func TestCommitTimeDeltas(t *testing.T) {
 			}
 		}},
 		{"cross abort drops", 0, func(t *testing.T, tm *TM, n *atomic.Int64) {
-			x := mustBeginCross(t, tm)
+			var x CrossTx
+			tm.BeginCross(&x)
 			x.Tx().AddOnCommit(n, lost)
 			if !x.Prepare() {
 				t.Fatal("uncontended prepare failed")
@@ -171,7 +173,8 @@ func TestCommitTimeDeltas(t *testing.T) {
 		}},
 		{"failed prepare drops", 0, func(t *testing.T, tm *TM, n *atomic.Int64) {
 			c := NewTypedCell(tm, 0)
-			x := mustBeginCross(t, tm)
+			var x CrossTx
+			tm.BeginCross(&x)
 			_ = c.Load(x.Tx())
 			x.Tx().AddOnCommit(n, lost)
 			mustAtomically(t, tm, Classic, func(tx *Tx) error {
@@ -193,15 +196,6 @@ func TestCommitTimeDeltas(t *testing.T) {
 	}
 }
 
-func mustBeginCross(t *testing.T, tm *TM) *CrossTx {
-	t.Helper()
-	x, err := tm.BeginCross(Classic)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return x
-}
-
 // TestDeltaOnlyCommitIsReadOnly pins what keeps a counted cache hit cheap:
 // deltas are no writes, so a transaction that only bumps counters takes the
 // read-only commit — no clock draw, counted in ReadOnlyCommits — and never
@@ -218,7 +212,8 @@ func TestDeltaOnlyCommitIsReadOnly(t *testing.T) {
 		tx.AddOnCommit(&n, 1)
 		return nil
 	})
-	x := mustBeginCross(t, tm)
+	var x CrossTx
+	tm.BeginCross(&x)
 	_ = c.Load(x.Tx())
 	x.Tx().AddOnCommit(&n, 1)
 	if !x.Prepare() {

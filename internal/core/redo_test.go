@@ -153,7 +153,8 @@ func TestRedoLogEndOfAttempt(t *testing.T) {
 		}},
 		{"cross commit hands over", []string{"k"}, func(t *testing.T, tm *TM, s *recSink) {
 			c := NewTypedCell(tm, 0)
-			x := mustBeginCross(t, tm)
+			var x CrossTx
+			tm.BeginCross(&x)
 			c.Store(x.Tx(), 1)
 			logTo(x.Tx(), s, "k")
 			if !x.Prepare() {
@@ -168,7 +169,8 @@ func TestRedoLogEndOfAttempt(t *testing.T) {
 			}
 		}},
 		{"cross abort drops", nil, func(t *testing.T, tm *TM, s *recSink) {
-			x := mustBeginCross(t, tm)
+			var x CrossTx
+			tm.BeginCross(&x)
 			logTo(x.Tx(), s, "L")
 			if !x.Prepare() {
 				t.Fatal("uncontended prepare failed")
@@ -177,7 +179,8 @@ func TestRedoLogEndOfAttempt(t *testing.T) {
 		}},
 		{"failed prepare drops", nil, func(t *testing.T, tm *TM, s *recSink) {
 			c := NewTypedCell(tm, 0)
-			x := mustBeginCross(t, tm)
+			var x CrossTx
+			tm.BeginCross(&x)
 			_ = c.Load(x.Tx())
 			logTo(x.Tx(), s, "L")
 			mustAtomically(t, tm, Classic, func(tx *Tx) error {
@@ -239,7 +242,8 @@ func TestRedoTicketReachesDurableAck(t *testing.T) {
 		}
 		return nil
 	})
-	x := mustBeginCross(t, tm)
+	var x CrossTx
+	tm.BeginCross(&x)
 	c.Store(x.Tx(), 2)
 	logTo(x.Tx(), b, "b2")
 	logTo(x.Tx(), a, "a3")

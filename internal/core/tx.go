@@ -55,7 +55,8 @@ type writeEntry struct {
 // handle retained past its Atomically call soon becomes another
 // transaction's live handle, so out-of-contract use that previously
 // panicked deterministically (checkUsable) may instead alias the new
-// transaction. Never stash a *Tx.
+// transaction. Never stash a *Tx. The same holds for a cross-shard
+// coordinator's *shard.MultiTx, which is pooled the same way.
 type Tx struct {
 	tm      *TM
 	sem     Semantics
@@ -86,6 +87,9 @@ type Tx struct {
 	// the clock (snapshot.go).
 	pinned bool
 	pinVer uint64
+	// cross marks a sub-transaction of a cross-TM operation (BeginCross),
+	// whose attempts all read the exact clock.
+	cross bool
 
 	hasWrites   bool
 	status      txStatus
@@ -151,6 +155,7 @@ func (tx *Tx) begin(sem Semantics) {
 	tx.status = statusIdle
 	tx.pinned = false
 	tx.pinVer = 0
+	tx.cross = false
 	tx.birth.Store(int64(time.Since(processStart)))
 	tx.priority.Store(0)
 	tx.rnd = id*2654435761 + 0x9e3779b97f4a7c15
@@ -259,7 +264,7 @@ func (tx *Tx) beginAttempt() {
 	case tx.pinned:
 		// Pinned snapshot: every attempt reads at the pin's version.
 		now = tx.pinVer
-	case tx.sem != Snapshot && tx.attempt == 1:
+	case tx.sem != Snapshot && tx.attempt == 1 && !tx.cross:
 		// First attempts of classic and elastic transactions take a
 		// recently published version instead of the exact clock — under
 		// GVSharded one padded load of the handle's own commit stripe
@@ -268,12 +273,16 @@ func (tx *Tx) beginAttempt() {
 		// as a per-P commit cache: this handle's own commits refresh it,
 		// so read-your-own-commits freshness is exact. Retries resample
 		// the true clock, which bounds the extra aborts staleness can
-		// cause to one per transaction.
+		// cause to one per transaction. That holds on both commit paths:
+		// Atomically retries on the same handle (attempt > 1), and a
+		// cross-shard coordinator retries with a fresh sub-transaction,
+		// so every cross sub-transaction takes the exact clock.
 		now = tx.tm.clock.NowRecent(tx.idEnd / txIDBatch)
 	default:
 		// Snapshot transactions always pay for the exact clock: their ub
 		// is their serialization point, and a stale ub would serialize
 		// them before operations that completed earlier in real time.
+		// Under GV1, the default scheme, Now and NowRecent are one load.
 		now = tx.tm.clock.Now()
 	}
 	tx.rv = now
@@ -294,7 +303,6 @@ func (tx *Tx) run(fn func(*Tx) error) (err error) {
 		switch sig := r.(type) {
 		case abortSignal:
 			tx.finish(statusAborted)
-			tx.abortReason = sig.reason
 			tx.record(Event{Kind: EventAbort, TxID: tx.id.Load(), Attempt: tx.attempt,
 				Sem: tx.sem, Reason: sig.reason})
 			err = errRetryAttempt
@@ -317,9 +325,12 @@ func (tx *Tx) run(fn func(*Tx) error) (err error) {
 	return fn(tx)
 }
 
-// abort unwinds the attempt with the given reason. Only call from the
-// transaction's own goroutine, below Atomically.
+// abort unwinds the attempt with the given reason, which stays in the
+// handle for whichever end books the abort: Atomically's retry loop, or
+// CrossTx.Abort after a coordinator's CatchConflict. Only call from the
+// transaction's own goroutine.
 func (tx *Tx) abort(reason AbortReason) {
+	tx.abortReason = reason
 	panic(abortSignal{reason: reason})
 }
 

@@ -133,25 +133,21 @@ func TestWALEndOfAttempt(t *testing.T) {
 			return map[int]int{10: 102}
 		}},
 		{"cross abort then commit", func(t *testing.T, tm *core.TM, m *Map[int]) map[int]int {
-			x, err := tm.BeginCross(core.Classic)
-			if err != nil {
-				t.Fatal(err)
-			}
+			// One participant, restarted in place after its abort.
+			var x core.CrossTx
+			tm.BeginCross(&x)
 			m.PutTx(x.Tx(), 11, 111)
 			if !x.Prepare() {
 				t.Fatal("uncontended prepare failed")
 			}
 			x.Abort()
-			y, err := tm.BeginCross(core.Classic)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m.PutTx(y.Tx(), 12, 122)
-			if !y.Prepare() {
+			tm.BeginCross(&x)
+			m.PutTx(x.Tx(), 12, 122)
+			if !x.Prepare() {
 				t.Fatal("uncontended prepare failed")
 			}
-			y.DrawVersion()
-			if err := y.Commit(); err != nil {
+			x.DrawVersion()
+			if err := x.Commit(); err != nil {
 				t.Fatal(err)
 			}
 			return map[int]int{12: 122}

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -16,11 +17,18 @@ import (
 // exactly that state. Either way, resolution releases every lock: a
 // single-shard transaction blocked on a prepared participant's cell
 // completes, it never hangs forever.
+//
+// The traffic case runs 100 concurrent AtomicallyAll calls on the same
+// partition between the crash and the resolution. A crashed coordinator's
+// MultiTx must never return to the partition's pool: if one of those calls
+// reused it, it would restart or commit the frozen participants, and the
+// resolution below would find them gone or the totals wrong.
 func TestCoordinatorCrashPoints(t *testing.T) {
 	cases := []struct {
 		step         string
 		decided      bool // the decision (commit) was logged before the crash
 		shard0Commit bool // shard 0's participant already installed
+		traffic      bool // concurrent coordinators run before resolution
 	}{
 		{step: "run", decided: false},
 		{step: "prepared:0", decided: false},
@@ -30,13 +38,20 @@ func TestCoordinatorCrashPoints(t *testing.T) {
 		// A crash after the last participant committed is a completed
 		// transaction: resolution is a no-op. Included to close the table.
 		{step: "committed:1", decided: true, shard0Commit: true},
+		{step: "prepared:1", decided: false, traffic: true},
 	}
 	for _, tc := range cases {
-		t.Run(tc.step, func(t *testing.T) {
+		name := tc.step
+		if tc.traffic {
+			name += "+traffic"
+		}
+		t.Run(name, func(t *testing.T) {
 			p := New(2)
 			p.EnableAudit()
 			a := core.NewTypedCell(p.TM(0), 100)
 			b := core.NewTypedCell(p.TM(1), 100)
+			c := core.NewTypedCell(p.TM(0), 100)
+			d := core.NewTypedCell(p.TM(1), 100)
 
 			var frozen *MultiTx
 			p.crashHook = func(step string, m *MultiTx) bool {
@@ -63,6 +78,31 @@ func TestCoordinatorCrashPoints(t *testing.T) {
 				t.Fatalf("decision log has %d entries, decided=%v", len(p.Decisions()), tc.decided)
 			}
 
+			const calls = 100
+			if tc.traffic {
+				var wg sync.WaitGroup
+				for i := 0; i < calls; i++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						err := p.AtomicallyAll(func(m *MultiTx) error {
+							c.Store(m.Shard(0), c.Load(m.Shard(0))-1)
+							d.Store(m.Shard(1), d.Load(m.Shard(1))+1)
+							return nil
+						})
+						if err != nil {
+							t.Errorf("concurrent transfer: %v", err)
+						}
+					}()
+				}
+				wg.Wait()
+				for i := range frozen.subs {
+					if !frozen.subs[i].Prepared() {
+						t.Fatalf("frozen participant %d no longer prepared: the crashed MultiTx was reused", i)
+					}
+				}
+			}
+
 			// A reader on shard 1 hitting the possibly-still-locked cell:
 			// it must complete once the participant resolves (the default
 			// CM makes blocked transactions retry, not deadlock).
@@ -79,11 +119,9 @@ func TestCoordinatorCrashPoints(t *testing.T) {
 			// Recovery: resolve every surviving participant by the logged
 			// decision — commit if a decision exists, abort otherwise.
 			// Participants the crashed coordinator already drove to an end
-			// state are crossDone and both calls no-op on them.
-			for i, x := range frozen.subs {
-				if x == nil {
-					continue
-				}
+			// state are resolved and both calls no-op on them.
+			for i := range frozen.subs {
+				x := &frozen.subs[i]
 				if tc.decided {
 					if x.Resolved() {
 						continue
@@ -105,6 +143,17 @@ func TestCoordinatorCrashPoints(t *testing.T) {
 			p.Atomically(1, core.Classic, func(tx *core.Tx) error { vb = b.Load(tx); return nil })
 			if va != wantA || vb != wantB {
 				t.Fatalf("after resolution: a=%d b=%d; want %d/%d (atomicity broken)", va, vb, wantA, wantB)
+			}
+			if tc.traffic {
+				var vc, vd int
+				p.Atomically(0, core.Classic, func(tx *core.Tx) error { vc = c.Load(tx); return nil })
+				p.Atomically(1, core.Classic, func(tx *core.Tx) error { vd = d.Load(tx); return nil })
+				if vc != 100-calls || vd != 100+calls {
+					t.Fatalf("concurrent transfers: c=%d d=%d; want %d/%d", vc, vd, 100-calls, 100+calls)
+				}
+				if n := len(p.Decisions()); n != calls {
+					t.Fatalf("decision log has %d entries; want %d", n, calls)
+				}
 			}
 			select {
 			case v := <-readerDone:

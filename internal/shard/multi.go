@@ -13,26 +13,30 @@ import (
 // crash hook abandons the protocol mid-flight (tests only).
 var errCoordinatorCrashed = errors.New("shard: coordinator crashed")
 
-// MultiTx is the handle of one cross-shard transaction attempt: a lazy
-// vector of per-shard sub-transactions. Shards the closure never touches
-// never learn the transaction existed.
+// MultiTx is the handle of one cross-shard transaction: a lazy vector of
+// per-shard sub-transactions, owned by value, one per shard. Shards the
+// closure never touches never learn the transaction existed.
+//
+// A MultiTx is recycled through its partition's pool when AtomicallyAll
+// returns, and its sub-transactions are restarted in place on every
+// attempt, which is what makes a warm cross-shard commit allocation-free.
+// Like *core.Tx, the handle is valid only inside the closure it is passed
+// to: one retained past its AtomicallyAll call soon becomes another
+// transaction's live handle. Never stash a *MultiTx.
 type MultiTx struct {
 	p    *Partition
-	subs []*core.CrossTx
+	subs []core.CrossTx
 }
 
 // Shard returns the transaction handle for shard i, beginning the shard's
 // sub-transaction on first touch. All loads and stores of shard i's cells
 // must go through this handle.
 func (m *MultiTx) Shard(i int) *core.Tx {
-	if m.subs[i] == nil {
-		x, err := m.p.tms[i].BeginCross(core.Classic)
-		if err != nil {
-			panic(err) // unreachable: Classic is always accepted
-		}
-		m.subs[i] = x
+	x := &m.subs[i]
+	if x.Resolved() {
+		m.p.tms[i].BeginCross(x)
 	}
-	return m.subs[i].Tx()
+	return x.Tx()
 }
 
 // ShardForKey routes a key within this transaction — sugar for
@@ -63,17 +67,23 @@ func (m *MultiTx) ShardForKey(key int) (int, *core.Tx) {
 // Single-shard work should prefer Partition.Atomically: the fast path
 // commits entirely inside one TM and never touches the decision mutex.
 func (p *Partition) AtomicallyAll(fn func(*MultiTx) error) error {
-	m := &MultiTx{p: p, subs: make([]*core.CrossTx, len(p.tms))}
+	m, _ := p.multis.Get().(*MultiTx)
+	if m == nil {
+		m = &MultiTx{p: p, subs: make([]core.CrossTx, len(p.tms))}
+	}
 	rnd := backoffSeed.Add(0x9e3779b97f4a7c15)
 	for attempt := 1; ; attempt++ {
-		clear(m.subs)
+		// Every sub-transaction is resolved here: each way an attempt
+		// ends below commits or aborts all of them, except a crash, which
+		// abandons m instead of pooling it.
 		err, conflict := core.CatchConflict(func() error { return fn(m) })
 		switch {
 		case err != nil:
 			m.abortAll()
+			p.multis.Put(m)
 			return err
 		case !conflict:
-			if p.crash("run", m) {
+			if p.crash("run", -1, m) {
 				return errCoordinatorCrashed
 			}
 			prepared, crashed := m.prepareAll()
@@ -81,12 +91,17 @@ func (p *Partition) AtomicallyAll(fn func(*MultiTx) error) error {
 				return errCoordinatorCrashed
 			}
 			if prepared {
-				return m.commitAll()
+				err := m.commitAll()
+				if err != errCoordinatorCrashed {
+					p.multis.Put(m)
+				}
+				return err
 			}
 		default:
 			m.abortAll()
 		}
 		if p.maxRetries > 0 && attempt >= p.maxRetries {
+			p.multis.Put(m)
 			return fmt.Errorf("cross-shard transaction after %d attempts: %w", attempt, core.ErrRetryLimit)
 		}
 		rnd = backoff(rnd, attempt)
@@ -98,19 +113,16 @@ func (p *Partition) AtomicallyAll(fn func(*MultiTx) error) error {
 // already aborted itself) it aborts all siblings and reports
 // prepared=false so the coordinator retries.
 func (m *MultiTx) prepareAll() (prepared, crashed bool) {
-	for i, x := range m.subs {
-		if x == nil {
+	for i := range m.subs {
+		x := &m.subs[i]
+		if x.Resolved() {
 			continue
 		}
 		if !x.Prepare() {
-			for j, y := range m.subs {
-				if y != nil && j != i {
-					y.Abort()
-				}
-			}
+			m.abortAll()
 			return false, false
 		}
-		if m.p.crash(fmt.Sprintf("prepared:%d", i), m) {
+		if m.p.crash("prepared", i, m) {
 			return false, true
 		}
 	}
@@ -128,8 +140,9 @@ func (m *MultiTx) commitAll() error {
 	p.decideMu.Lock()
 	p.seq++
 	seq := p.seq
-	for i, x := range m.subs {
-		if x == nil {
+	for i := range m.subs {
+		x := &m.subs[i]
+		if x.Resolved() {
 			continue
 		}
 		if x.ReadOnly() {
@@ -149,19 +162,20 @@ func (m *MultiTx) commitAll() error {
 		p.audit = append(p.audit, history.CrossDecision{Seq: seq, Parts: parts})
 		p.auditMu.Unlock()
 	}
-	if p.crash("decided", m) {
+	if p.crash("decided", -1, m) {
 		return errCoordinatorCrashed
 	}
 	var firstErr error
-	for i, x := range m.subs {
-		if x == nil {
+	for i := range m.subs {
+		x := &m.subs[i]
+		if x.Resolved() {
 			continue
 		}
 		if err := x.Commit(); err != nil && firstErr == nil {
 			// A durable-ack failure: the memory effect stands; report it.
 			firstErr = err
 		}
-		if p.crash(fmt.Sprintf("committed:%d", i), m) {
+		if p.crash("committed", i, m) {
 			return errCoordinatorCrashed
 		}
 	}
@@ -170,10 +184,8 @@ func (m *MultiTx) commitAll() error {
 
 // abortAll aborts every begun sub-transaction (idempotent per CrossTx).
 func (m *MultiTx) abortAll() {
-	for _, x := range m.subs {
-		if x != nil {
-			x.Abort()
-		}
+	for i := range m.subs {
+		m.subs[i].Abort()
 	}
 }
 

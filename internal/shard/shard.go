@@ -20,6 +20,7 @@ package shard
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,6 +52,9 @@ type Partition struct {
 	crashHook func(step string, m *MultiTx) bool
 
 	maxRetries int
+
+	// multis recycles AtomicallyAll's coordinator state (*MultiTx).
+	multis sync.Pool
 }
 
 // New builds a partition of n shards, applying the same options to every
@@ -116,10 +120,18 @@ func (p *Partition) Decisions() []history.CrossDecision {
 	return out
 }
 
-// crash fires the test-only crash hook; true means "the coordinator died
-// here" and the caller must abandon the protocol immediately.
-func (p *Partition) crash(step string, m *MultiTx) bool {
-	return p.crashHook != nil && p.crashHook(step, m)
+// crash fires the test-only crash hook at step, labelled "step:shard" for a
+// per-participant step (shard >= 0); true means "the coordinator died here"
+// and the caller must abandon the protocol immediately. The label is built
+// only when a hook is set.
+func (p *Partition) crash(step string, shard int, m *MultiTx) bool {
+	if p.crashHook == nil {
+		return false
+	}
+	if shard >= 0 {
+		step += ":" + strconv.Itoa(shard)
+	}
+	return p.crashHook(step, m)
 }
 
 // backoffSeed derives per-coordinator jitter streams without any shared

@@ -2,8 +2,10 @@ package storm
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 )
@@ -49,5 +51,44 @@ func TestShardBankStormAcrossClockSchemes(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestShardBankStormSettlesUnderShardedClock is the gate on the cross-shard
+// retry livelock. A coordinator retries with fresh sub-transactions, so if
+// they read the sharded clock's per-stripe recent version, every retry is
+// a "first attempt" on a possibly stale stripe, and the more stripes, the
+// longer the abort storm: at GOMAXPROCS=8 this config took minutes, with
+// aborts outnumbering commits a thousandfold. Cross sub-transactions read
+// the exact clock, so it settles at once.
+func TestShardBankStormSettlesUnderShardedClock(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8)) // 8 clock stripes
+	start := time.Now()
+	rep, err := Run(Config{
+		Workload: "shardbank",
+		Workers:  6,
+		Ops:      150,
+		Keys:     24,
+		Seed:     3,
+		Chaos:    10,
+		Clock:    core.ClockGVSharded,
+	})
+	if err != nil {
+		t.Fatalf("config: %v", err)
+	}
+	if rerr := rep.Err(); rerr != nil {
+		t.Fatal(rerr)
+	}
+	elapsed := time.Since(start)
+	var aborts uint64
+	for _, n := range rep.Stats.Aborts {
+		aborts += n
+	}
+	t.Logf("%v, %d aborts for %d commits: %v", elapsed, aborts, rep.Stats.Commits, rep.Stats.Aborts)
+	if elapsed > 2*time.Second {
+		t.Errorf("took %v, want < 2s", elapsed)
+	}
+	if aborts > 2*rep.Stats.Commits {
+		t.Errorf("%d aborts for %d commits, want at most 2 per commit", aborts, rep.Stats.Commits)
 	}
 }
