@@ -179,6 +179,58 @@ func BenchmarkCommitUpdate(b *testing.B) {
 	}
 }
 
+// BenchmarkAtomicallyFixedCost is what a transaction costs before it does
+// any work: an empty classic call, one read of a shared cell, and one
+// increment of a cell of the goroutine's own, each alone and from every
+// RunParallel goroutine at once. The parallel rows show shared-cache-line
+// writes on the begin/commit path; only the update commit's clock draw is
+// inherently shared.
+func BenchmarkAtomicallyFixedCost(b *testing.B) {
+	bodies := []struct {
+		name string
+		body func(tm *repro.TM, shared *repro.Var[int]) func(*repro.Tx) error
+	}{
+		{"empty", func(*repro.TM, *repro.Var[int]) func(*repro.Tx) error {
+			return func(*repro.Tx) error { return nil }
+		}},
+		{"one-read", func(_ *repro.TM, shared *repro.Var[int]) func(*repro.Tx) error {
+			return func(tx *repro.Tx) error { _ = shared.Get(tx); return nil }
+		}},
+		{"one-write", func(tm *repro.TM, _ *repro.Var[int]) func(*repro.Tx) error {
+			own := repro.NewVar(tm, 0)
+			return func(tx *repro.Tx) error { own.Set(tx, own.Get(tx)+1); return nil }
+		}},
+	}
+	run := func(b *testing.B, tm *repro.TM, fn func(*repro.Tx) error) {
+		if err := tm.Atomically(repro.Classic, fn); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, bd := range bodies {
+		b.Run(bd.name+"/serial", func(b *testing.B) {
+			tm := repro.New()
+			fn := bd.body(tm, repro.NewVar(tm, 1))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run(b, tm, fn)
+			}
+		})
+		b.Run(bd.name+"/parallel", func(b *testing.B) {
+			tm := repro.New()
+			shared := repro.NewVar(tm, 1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				fn := bd.body(tm, shared)
+				for pb.Next() {
+					run(b, tm, fn)
+				}
+			})
+		})
+	}
+}
+
 // --- Ablation: contention-manager policies on a hot spot ------------------
 
 func BenchmarkAblationContentionManager(b *testing.B) {

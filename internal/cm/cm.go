@@ -182,8 +182,8 @@ func (Karma) OnAbort(tx *core.Tx) {
 	tx.AddPriority(tx.Work())
 }
 
-// Timestamp gives absolute priority to the older transaction (by first
-// start time): the younger side waits, and kills only when it is itself
+// Timestamp gives absolute priority to the older transaction (by logical
+// age, see elder): the younger side waits, and kills only when it is itself
 // the elder. Starvation-free: the oldest live transaction always wins.
 type Timestamp struct{}
 
@@ -234,11 +234,22 @@ func (Greedy) OnCommit(*core.Tx) {}
 // OnAbort implements core.ContentionManager.
 func (Greedy) OnAbort(*core.Tx) {}
 
-// elder reports whether tx started strictly before owner, breaking ties by
-// transaction ID so the relation is total.
+// elder reports whether tx is older than owner: it orders transactions by
+// (Age, ID), smallest first. Age is the clock value a call's first attempt
+// sampled, kept across retries, and an ID is unique within its TM and also
+// stable across retries, so the order is total and fixed for each
+// transaction's lifetime. That is all Greedy and Timestamp need for
+// progress: among the live transactions one is the eldest, it wins every
+// arbitration it enters (the other side waits, aborts itself, or is
+// killed), so it commits, and the same then holds for the next eldest.
+// The order is also fair over time: a commit moves the clock, so under
+// the exact clock every call that starts after a commit is younger than
+// every call that started before it. (Under ClockGVSharded a first attempt
+// may sample a stale stripe and tie with or precede older calls; that
+// costs fairness, not progress.)
 func elder(tx, owner *core.Tx) bool {
-	if tx.Birth().Equal(owner.Birth()) {
-		return tx.ID() < owner.ID()
+	if a, b := tx.Age(), owner.Age(); a != b {
+		return a < b
 	}
-	return tx.Birth().Before(owner.Birth())
+	return tx.ID() < owner.ID()
 }

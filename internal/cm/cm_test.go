@@ -3,7 +3,6 @@ package cm
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 )
@@ -97,12 +96,21 @@ func TestPoliciesMakeProgress(t *testing.T) {
 // transactions. The handles come from separate scratch TMs: the runtime
 // pools handles per TM, so two completed transactions of one TM would
 // alias the same recycled handle. Distinct TMs pin distinct handles, and
-// the policies only consult age/identity/karma, never the owning TM.
+// the policies only consult age/identity/karma, never the owning TM. The
+// second TM commits once before younger starts, so younger's age (its
+// first clock sample) is strictly larger than older's.
 func TestDecisions(t *testing.T) {
 	var older, younger *core.Tx
 	_ = core.New().Atomically(core.Classic, func(tx *core.Tx) error { older = tx; return nil })
-	time.Sleep(2 * time.Millisecond) // distinct birth stamps for the age policies
-	_ = core.New().Atomically(core.Classic, func(tx *core.Tx) error { younger = tx; return nil })
+	tm2 := core.New()
+	bump := core.NewTypedCell(tm2, 0)
+	if err := tm2.Atomically(core.Classic, func(tx *core.Tx) error { bump.Store(tx, 1); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	_ = tm2.Atomically(core.Classic, func(tx *core.Tx) error { younger = tx; return nil })
+	if older.Age() >= younger.Age() {
+		t.Fatalf("ages: older %d, younger %d; want older < younger", older.Age(), younger.Age())
+	}
 
 	if d := (Suicide{}).Arbitrate(younger, older, 0); d != core.DecisionAbortSelf {
 		t.Errorf("suicide: %v", d)
@@ -156,5 +164,77 @@ func TestKarmaOnAbortAccumulates(t *testing.T) {
 	NewKarma().OnAbort(handle)
 	if handle.Priority() < before {
 		t.Fatal("karma decreased on abort")
+	}
+}
+
+// TestAgeIsFirstAttemptClock pins what the age policies order by: a
+// call's age is the clock value its first attempt sampled, kept across
+// retries; a call that starts after a commit is strictly younger; two
+// calls with no commit between their starts tie, and elder breaks the tie
+// by ID.
+func TestAgeIsFirstAttemptClock(t *testing.T) {
+	tm := core.New()
+	c := core.NewTypedCell(tm, 0)
+	bump := func() {
+		t.Helper()
+		if err := tm.Atomically(core.Classic, func(tx *core.Tx) error {
+			c.Store(tx, c.Load(tx)+1)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bump()
+
+	// A retried call keeps the age of its first attempt, even though a
+	// commit in between moved the clock its retry samples.
+	var ages []uint64
+	if err := tm.Atomically(core.Classic, func(tx *core.Tx) error {
+		ages = append(ages, tx.Age())
+		if tx.Attempt() == 1 {
+			bump() // an independent transaction on another pooled handle
+			tx.Restart()
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(ages) != 2 || ages[0] != ages[1] {
+		t.Fatalf("ages across a retry = %v, want two equal values", ages)
+	}
+	if ages[0] >= tm.ClockNow() {
+		t.Fatalf("first-attempt age %d not below the clock %d after a commit", ages[0], tm.ClockNow())
+	}
+
+	// A call that starts after a commit is strictly younger.
+	var before, after uint64
+	_ = tm.Atomically(core.Classic, func(tx *core.Tx) error { before = tx.Age(); return nil })
+	bump()
+	_ = tm.Atomically(core.Classic, func(tx *core.Tx) error { after = tx.Age(); return nil })
+	if after <= before {
+		t.Fatalf("age after a commit %d, before it %d; want strictly larger", after, before)
+	}
+
+	// Two live calls with no commit between their starts tie; elder
+	// orders them by ID, one way only.
+	if err := tm.Atomically(core.Classic, func(outer *core.Tx) error {
+		return tm.Atomically(core.Classic, func(inner *core.Tx) error {
+			if outer.Age() != inner.Age() {
+				t.Errorf("ages %d and %d, want a tie", outer.Age(), inner.Age())
+			}
+			if outer.ID() == inner.ID() {
+				t.Fatalf("two live handles share ID %d", outer.ID())
+			}
+			first, second := outer, inner
+			if inner.ID() < outer.ID() {
+				first, second = inner, outer
+			}
+			if !elder(first, second) || elder(second, first) {
+				t.Errorf("elder does not break an age tie by ID")
+			}
+			return nil
+		})
+	}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -48,7 +48,7 @@ func (d Decision) String() string {
 //
 // The owner pointer may refer to a handle that has finished and been
 // recycled for a new transaction (handles are pooled): policies must only
-// consult owner through the race-free accessors ID, Birth, Priority, Work,
+// consult owner through the race-free accessors ID, Age, Priority, Work,
 // Killed and Kill — never Semantics, Attempt or the transactional
 // operations, which are exclusive to the owning
 // goroutine. A stale owner read yields a heuristically outdated but

@@ -22,7 +22,7 @@ func (m *countingCM) Arbitrate(tx, owner *Tx, attempt int) Decision {
 		// on a possibly-recycled owner handle; under -race this also
 		// proves they are data-race-free against the typed commit path.
 		_ = owner.ID()
-		_ = owner.Birth()
+		_ = owner.Age()
 		_ = owner.Priority()
 		_ = owner.Work()
 		_ = owner.Killed()

@@ -33,8 +33,7 @@ func (tx *Tx) commit() bool {
 	if len(tx.writes) == 0 {
 		tx.finish(statusCommitted)
 		tx.commitVer = tx.rv
-		tx.tm.stats.commits.Add(1)
-		tx.tm.stats.readOnlyCommits.Add(1)
+		tx.endAttempt().readOnlyCommits.Add(1)
 		tx.record(Event{Kind: EventCommit, TxID: tx.id.Load(), Attempt: tx.attempt,
 			Sem: tx.sem, Version: tx.rv})
 		return true
@@ -78,7 +77,7 @@ func (tx *Tx) commit() bool {
 	}
 	tx.finish(statusCommitted)
 	tx.commitVer = wv
-	tx.tm.stats.commits.Add(1)
+	tx.endAttempt().updateCommits.Add(1)
 	tx.record(Event{Kind: EventCommit, TxID: tx.id.Load(), Attempt: tx.attempt,
 		Sem: tx.sem, Version: wv})
 	return true

@@ -313,13 +313,13 @@ func (x *CrossTx) Commit() error {
 			}
 		}
 		tx.commitVer = x.wv
+		tx.endAttempt().updateCommits.Add(1)
 	} else {
 		x.releaseLocks(len(x.locks))
 		tx.commitVer = tx.rv
-		x.tm.stats.readOnlyCommits.Add(1)
+		tx.endAttempt().readOnlyCommits.Add(1)
 	}
 	tx.finish(statusCommitted)
-	x.tm.stats.commits.Add(1)
 	tx.record(Event{Kind: EventCommit, TxID: tx.id.Load(), Attempt: tx.attempt,
 		Sem: tx.sem, Version: tx.commitVer})
 	tx.runCommitHooks()
@@ -369,7 +369,7 @@ func (x *CrossTx) finishAbort(reason AbortReason) {
 	tx.record(Event{Kind: EventAbort, TxID: tx.id.Load(), Attempt: tx.attempt,
 		Sem: tx.sem, Reason: reason})
 	tx.runAbortHooks()
-	x.tm.stats.abort(reason)
+	tx.endAttempt().abort(reason)
 	x.tm.cm.OnAbort(tx)
 	x.recycle()
 }

@@ -157,7 +157,7 @@ func (tx *Tx) extendReadVersion() bool {
 		return false
 	}
 	tx.rv = newRv
-	tx.tm.stats.extensions.Add(1)
+	tx.extensions++
 	return true
 }
 
@@ -203,7 +203,6 @@ func (tx *Tx) pushWindow(c *cell, ver uint64) {
 		w[len(w)-drop] = readEntry{cell: c, ver: ver}
 		tx.window = w[:len(w)-drop+1]
 		tx.cuts += drop
-		tx.tm.stats.cuts.Add(uint64(drop))
 		tx.record(Event{Kind: EventCut, TxID: tx.id.Load(), Attempt: tx.attempt, Sem: tx.sem})
 		return
 	}
@@ -250,7 +249,7 @@ func (tx *Tx) readSnapshotVer(c *cell) (vbox, uint64) {
 		}
 	}
 	if ver != cur {
-		tx.tm.stats.snapshotOld.Add(1)
+		tx.snapshotOld++
 	}
 	if tx.tm.recorder != nil {
 		tx.record(Event{Kind: EventRead, TxID: tx.id.Load(), Attempt: tx.attempt,

@@ -213,7 +213,7 @@ func (tx *Tx) runBranch(fn func(*Tx) error) (retried bool, err error) {
 func (tx *Tx) rollbackBranch() {
 	tx.runAbortHooks()
 	tx.reads = tx.reads[:0]
-	tx.writes = tx.writes[:0]
+	tx.writes = truncate(tx.writes)
 	tx.window = tx.window[:0]
 	tx.hasWrites = false
 	if tx.released != nil {

@@ -5,37 +5,73 @@ import "sync/atomic"
 // abortReasonCount is sized to index AbortReason values directly.
 const abortReasonCount = int(AbortExplicit) + 1
 
-// padUint64 is an atomic counter alone on its cache line. The stats
-// counters are bumped by every transaction on every core; packing them
-// into adjacent words would make logically independent counters (commits
-// on one worker, attempts on another) fight over the same line.
+// padUint64 is an atomic counter alone on its cache line, for words that
+// many cores write (ID counters, the rare global stats).
 type padUint64 struct {
 	atomic.Uint64
 	_ [56]byte
 }
 
-// counters aggregates runtime statistics with atomic updates. One instance
-// lives in each TM; Stats() copies it out.
-type counters struct {
-	commits         padUint64
-	readOnlyCommits padUint64
-	attempts        padUint64
-	aborts          [abortReasonCount]padUint64
-	cuts            padUint64
-	snapshotOld     padUint64
-	kills           padUint64
-	extensions      padUint64
-	pins            padUint64
-	privatizes      padUint64
+// statStripes is how many stat stripes a TM keeps. A transaction books
+// into the stripe its handle's ID block selects, so concurrent handles
+// almost always write different stripes. It is a constant, not derived
+// from the host: summing 16 stripes is cheap, and Stats is not hot.
+const statStripes = 16
+
+// statStripe is one stripe of the per-transaction counters. Every
+// attempt ends with exactly one add to an outcome word (readOnlyCommits,
+// updateCommits, parked or aborts[r]), so Commits and Attempts are
+// derived, not stored. The per-read tallies (cuts, snapshotOld,
+// extensions) are counted in the handle and added here once per attempt
+// end, only when non-zero.
+type statStripe struct {
+	readOnlyCommits atomic.Uint64
+	updateCommits   atomic.Uint64
+	// parked counts attempts that ended with neither a commit nor an
+	// abort: a blocking Retry's park, or a panic out of the closure.
+	parked      atomic.Uint64
+	aborts      [abortReasonCount]atomic.Uint64
+	cuts        atomic.Uint64
+	snapshotOld atomic.Uint64
+	extensions  atomic.Uint64
+	// The 15 words above take 120 bytes; the pad rounds the stripe up to
+	// 128, two cache lines, so neighbouring stripes never share a line
+	// or an adjacent-line prefetch pair.
+	_ [8]byte
 }
 
-// Stats is a point-in-time snapshot of a TM's counters.
+// abort books one attempt aborted for reason r; an unset reason is booked
+// as AbortExplicit, so every attempt lands in exactly one outcome word.
+func (s *statStripe) abort(r AbortReason) {
+	if r <= 0 || int(r) >= abortReasonCount {
+		r = AbortExplicit
+	}
+	s.aborts[int(r)].Add(1)
+}
+
+// counters aggregates runtime statistics. One instance lives in each TM;
+// Stats() sums it.
+type counters struct {
+	stripes [statStripes]statStripe
+	// Rare events stay global.
+	kills      padUint64
+	pins       padUint64
+	privatizes padUint64
+}
+
+// Stats is a point-in-time snapshot of a TM's counters. Each attempt is
+// booked when it ends, and the counters are summed from per-stripe words
+// without a lock, so Stats is exact at quiescence: when no transaction is
+// running, the fields add up exactly (Attempts equals Commits plus
+// TotalAborts plus the attempts that ended in a blocking Retry or a panic).
+// While transactions run, a snapshot may miss the attempts still in flight
+// and tear between stripes.
 type Stats struct {
 	// Commits is the number of successfully committed transactions.
 	Commits uint64
 	// ReadOnlyCommits counts the subset of Commits with an empty write set.
 	ReadOnlyCommits uint64
-	// Attempts counts every started attempt, including retries.
+	// Attempts counts every finished attempt, including retries.
 	Attempts uint64
 	// Aborts maps each abort reason to its occurrence count.
 	Aborts map[AbortReason]uint64
@@ -71,30 +107,53 @@ func (s Stats) AbortRate() float64 {
 	return float64(s.TotalAborts()) / float64(s.Attempts)
 }
 
-// snapshot copies the counters into an exported Stats value.
+// snapshot sums the stripes into an exported Stats value.
 func (c *counters) snapshot() Stats {
+	var aborts [abortReasonCount]uint64
+	var updates, parked uint64
 	s := Stats{
-		Commits:          c.commits.Load(),
-		ReadOnlyCommits:  c.readOnlyCommits.Load(),
-		Attempts:         c.attempts.Load(),
-		Aborts:           make(map[AbortReason]uint64, abortReasonCount),
-		Cuts:             c.cuts.Load(),
-		SnapshotOldReads: c.snapshotOld.Load(),
-		Kills:            c.kills.Load(),
-		Extensions:       c.extensions.Load(),
-		SnapshotPins:     c.pins.Load(),
-		Privatizations:   c.privatizes.Load(),
+		Kills:          c.kills.Load(),
+		SnapshotPins:   c.pins.Load(),
+		Privatizations: c.privatizes.Load(),
 	}
-	for r := AbortReadInvalid; r <= AbortExplicit; r++ {
-		if n := c.aborts[int(r)].Load(); n > 0 {
-			s.Aborts[r] = n
+	for i := range c.stripes {
+		st := &c.stripes[i]
+		s.ReadOnlyCommits += st.readOnlyCommits.Load()
+		updates += st.updateCommits.Load()
+		parked += st.parked.Load()
+		for r := range aborts {
+			aborts[r] += st.aborts[r].Load()
+		}
+		s.Cuts += st.cuts.Load()
+		s.SnapshotOldReads += st.snapshotOld.Load()
+		s.Extensions += st.extensions.Load()
+	}
+	s.Commits = s.ReadOnlyCommits + updates
+	s.Aborts = make(map[AbortReason]uint64, abortReasonCount)
+	for r, n := range aborts {
+		if n > 0 {
+			s.Aborts[AbortReason(r)] = n
 		}
 	}
+	s.Attempts = s.Commits + s.TotalAborts() + parked
 	return s
 }
 
-func (c *counters) abort(r AbortReason) {
-	if r >= 0 && int(r) < abortReasonCount {
-		c.aborts[int(r)].Add(1)
+// endAttempt folds the ending attempt's per-read tallies into the
+// handle's stat stripe and returns the stripe, on which the caller books
+// the attempt's one outcome. Every way an attempt ends calls it exactly
+// once: commit (both success paths), Atomically's abort, park and panic
+// paths, and CrossTx's Commit and finishAbort.
+func (tx *Tx) endAttempt() *statStripe {
+	s := &tx.tm.stats.stripes[tx.idEnd/txIDBatch%statStripes]
+	if tx.cuts != 0 {
+		s.cuts.Add(uint64(tx.cuts))
 	}
+	if tx.snapshotOld != 0 {
+		s.snapshotOld.Add(tx.snapshotOld)
+	}
+	if tx.extensions != 0 {
+		s.extensions.Add(tx.extensions)
+	}
+	return s
 }

@@ -248,7 +248,8 @@ func (tm *TM) keep(w *writeEntry) int {
 	return tm.keepVersions
 }
 
-// Stats returns a snapshot of the runtime counters.
+// Stats returns a snapshot of the runtime counters, summed over the stat
+// stripes. It is exact at quiescence; see Stats.
 func (tm *TM) Stats() Stats { return tm.stats.snapshot() }
 
 // ClockNow exposes the current global version, for tests and tools.
@@ -293,16 +294,15 @@ func (tm *TM) getTx(sem Semantics) *Tx {
 const maxPooledEntries = 1 << 14
 
 // maxPooledWrites caps the kept capacity of the value-bearing slices
-// (writes, hooks). It is much smaller than maxPooledEntries because these
-// are zeroed on every putTx — the cap bounds that memclr — and typical
-// write sets are a handful of entries; a rare bulk-load transaction simply
-// reallocates next time instead of taxing every later reuse.
+// (writes, hooks). It is much smaller than maxPooledEntries because typical
+// write sets are a handful of entries: a rare bulk-load transaction simply
+// reallocates next time instead of parking a large buffer in the pool.
 const maxPooledWrites = 512
 
 // putTx returns a finished handle to the pool. Stale owner pointers held
 // briefly by contention managers may still observe the handle after this;
 // every accessor the ContentionManager contract permits on owner (ID,
-// Birth, Priority, Work, Killed, Kill) is atomic, so a late reader gets a
+// Age, Priority, Work, Killed, Kill) is atomic, so a late reader gets a
 // heuristically stale but race-free view (at worst a spurious cooperative
 // kill of the next transaction using the handle, which simply retries).
 //
@@ -311,6 +311,9 @@ const maxPooledWrites = 512
 // handle does not pin user values, counters, sinks or captured scopes (the
 // redo buffers hold plain bytes and keep their capacity): in the
 // zero-allocation steady state GC runs rarely, so the pool drains slowly.
+// Those buffers are only ever shortened through truncate, which keeps
+// their tails zero, so clearing one costs what the call used, not its
+// capacity: nothing, for a read-only call.
 // The read/window sets are deliberately NOT cleared — they hold only cell pointers, and zeroing a traversal-
 // sized read set would memclr hundreds of kilobytes per transaction — so
 // an idle handle can transitively pin up to maxPooledEntries cells (and
@@ -342,15 +345,12 @@ func (tm *TM) putTx(tx *Tx) {
 }
 
 // trimClear drops an oversized backing array entirely, and otherwise
-// zeroes it in full (dropping the references it pins), returning the slice
-// empty with capacity intact.
+// empties it through truncate, returning it with capacity intact.
 func trimClear[E any](s []E) []E {
 	if cap(s) > maxPooledWrites {
 		return nil
 	}
-	s = s[:cap(s)]
-	clear(s)
-	return s[:0]
+	return truncate(s)
 }
 
 // trimRedo is trimClear for the redo log: it drops every slot's sink and
@@ -421,6 +421,7 @@ func (tm *TM) atomicallyAt(ctx context.Context, sem Semantics, pinned bool, pinV
 		case errors.Is(err, errBlockRetry):
 			// Deliberate blocking retry: wait for a read to change.
 			tx.runAbortHooks()
+			tx.endAttempt().parked.Add(1)
 			if len(tx.reads) == 0 && len(tx.window) == 0 {
 				tx.finish(statusAborted)
 				return ErrRetryNoReads
@@ -435,7 +436,7 @@ func (tm *TM) atomicallyAt(ctx context.Context, sem Semantics, pinned bool, pinV
 			// user error or permanent semantics error: roll back for good
 			tx.finish(statusAborted)
 			tx.runAbortHooks()
-			tm.stats.abort(AbortExplicit)
+			tx.endAttempt().abort(AbortExplicit)
 			tm.cm.OnAbort(tx)
 			var perm permanentError
 			if errors.As(err, &perm) {
@@ -444,7 +445,7 @@ func (tm *TM) atomicallyAt(ctx context.Context, sem Semantics, pinned bool, pinV
 			return err
 		}
 		tx.runAbortHooks()
-		tm.stats.abort(tx.abortReason)
+		tx.endAttempt().abort(tx.abortReason)
 		tm.cm.OnAbort(tx)
 		if tm.maxRetries > 0 && tx.attempt >= tm.maxRetries {
 			return fmt.Errorf("after %d attempts (last abort: %s): %w",

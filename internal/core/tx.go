@@ -101,8 +101,12 @@ type Tx struct {
 	// record, an escrow publication — with the transaction's
 	// serialization point.
 	commitVer uint64
-	cuts      int
-	rnd       uint64 // xorshift state for backoff jitter
+	// Per-read stat tallies of the current attempt, folded into the TM's
+	// stats once, when the attempt ends (endAttempt).
+	cuts        int
+	snapshotOld uint64
+	extensions  uint64
+	rnd         uint64 // xorshift state for backoff jitter
 	// Deferred side-effect hooks for the current attempt (transactional
 	// boosting): see Tx.Defer.
 	onCommit []func()
@@ -122,9 +126,12 @@ type Tx struct {
 	// Fields below are read concurrently by contention managers (which may
 	// hold a stale owner pointer to a handle that has since been recycled
 	// for a new transaction, so identity and age are atomics too: a stale
-	// reader gets a heuristically wrong but race-free answer).
+	// reader gets a heuristically wrong but race-free answer). The resets
+	// of age, killed, priority and work load first and store only on a
+	// change: each is almost always already at its new value, and a store
+	// is a locked exchange.
 	id       atomic.Uint64
-	birth    atomic.Int64 // first attempt start, nanos since processStart; age-based CMs
+	age      atomic.Uint64 // clock sample of the call's first attempt; age-based CMs
 	killed   atomic.Bool
 	priority atomic.Int64 // karma accumulated across attempts
 	work     atomic.Int64 // reads+writes performed in this attempt
@@ -134,12 +141,6 @@ type Tx struct {
 // the TM's global counter at once. 64 turns the per-transaction global
 // fetch-and-add into one every 64 transactions.
 const txIDBatch = 64
-
-// processStart anchors transaction birth stamps. Ages are stored as
-// monotonic-clock offsets from this instant (not wall-clock nanos), so the
-// elder/younger ordering used by age-based contention managers is immune
-// to wall-clock steps.
-var processStart = time.Now()
 
 // begin stamps the handle with a fresh identity and per-call state; it is
 // the reset point of the pooled-transaction lifecycle.
@@ -156,8 +157,9 @@ func (tx *Tx) begin(sem Semantics) {
 	tx.pinned = false
 	tx.pinVer = 0
 	tx.cross = false
-	tx.birth.Store(int64(time.Since(processStart)))
-	tx.priority.Store(0)
+	if tx.priority.Load() != 0 {
+		tx.priority.Store(0)
+	}
 	tx.rnd = id*2654435761 + 0x9e3779b97f4a7c15
 }
 
@@ -187,13 +189,13 @@ func (tx *Tx) TM() *TM { return tx.tm }
 // Attempt returns the 1-based attempt number of the current run.
 func (tx *Tx) Attempt() int { return tx.attempt }
 
-// Birth returns when the transaction first started; age-based contention
-// managers (Greedy, Timestamp) prioritize older transactions. The value
-// carries processStart's monotonic reading, so Before/Equal comparisons
-// between transactions order by true age.
-func (tx *Tx) Birth() time.Time {
-	return processStart.Add(time.Duration(tx.birth.Load()))
-}
+// Age returns the transaction's logical age: the clock value its call's
+// first attempt sampled (for a pinned snapshot, the pin version). It is
+// set once per Atomically call and kept across retries, so a smaller age
+// means an older transaction. Calls with no commit between their starts
+// may tie; age-based contention managers (Greedy, Timestamp) break ties
+// by ID.
+func (tx *Tx) Age() uint64 { return tx.age.Load() }
 
 // flushEvery is how many accesses may pass between flushes of the local
 // work counter (and checks of the kill flag) on the read fast path.
@@ -245,19 +247,23 @@ func (tx *Tx) beginAttempt() {
 	tx.abortReason = 0
 	tx.commitVer = 0
 	tx.hasWrites = false
-	tx.cuts = 0
-	tx.killed.Store(false)
-	tx.work.Store(0)
+	tx.cuts, tx.snapshotOld, tx.extensions = 0, 0, 0
+	if tx.killed.Load() {
+		tx.killed.Store(false)
+	}
+	if tx.work.Load() != 0 {
+		tx.work.Store(0)
+	}
 	tx.workLocal = 0
 	tx.reads = tx.reads[:0]
-	tx.writes = tx.writes[:0]
+	tx.writes = truncate(tx.writes)
 	tx.window = tx.window[:0]
 	if tx.released != nil {
 		clear(tx.released)
 	}
-	tx.onCommit = tx.onCommit[:0]
-	tx.onAbort = tx.onAbort[:0]
-	tx.deltas = tx.deltas[:0]
+	tx.onCommit = truncate(tx.onCommit)
+	tx.onAbort = truncate(tx.onAbort)
+	tx.deltas = truncate(tx.deltas)
 	tx.redo = tx.redo[:0]
 	var now uint64
 	switch {
@@ -287,7 +293,9 @@ func (tx *Tx) beginAttempt() {
 	}
 	tx.rv = now
 	tx.ub = now
-	tx.tm.stats.attempts.Add(1)
+	if tx.attempt == 1 && tx.age.Load() != now {
+		tx.age.Store(now)
+	}
 	tx.record(Event{Kind: EventBegin, TxID: tx.id.Load(), Attempt: tx.attempt, Sem: tx.sem,
 		Version: now})
 }
@@ -319,6 +327,7 @@ func (tx *Tx) run(fn func(*Tx) error) (err error) {
 				Sem: tx.sem, Reason: AbortSemantics})
 			err = sig
 		default:
+			tx.endAttempt().parked.Add(1)
 			panic(r)
 		}
 	}()
@@ -540,7 +549,7 @@ func (tx *Tx) runCommitHooks() {
 	for _, d := range tx.deltas {
 		d.c.Add(d.delta)
 	}
-	tx.deltas = tx.deltas[:0]
+	tx.deltas = truncate(tx.deltas)
 	for i := range tx.redo {
 		r := &tx.redo[i]
 		r.ticket = r.sink.CommitRedo(tx, r)
@@ -548,21 +557,31 @@ func (tx *Tx) runCommitHooks() {
 	for _, fn := range tx.onCommit {
 		fn()
 	}
-	tx.onCommit = tx.onCommit[:0]
-	tx.onAbort = tx.onAbort[:0]
+	tx.onCommit = truncate(tx.onCommit)
+	tx.onAbort = truncate(tx.onAbort)
 }
 
 // runAbortHooks drops the delta and redo logs and fires deferred
 // compensations in reverse registration order. Every way an attempt (or an
 // OrElse branch) ends without committing passes through here.
 func (tx *Tx) runAbortHooks() {
-	tx.deltas = tx.deltas[:0]
+	tx.deltas = truncate(tx.deltas)
 	tx.redo = tx.redo[:0]
 	for i := len(tx.onAbort) - 1; i >= 0; i-- {
 		tx.onAbort[i]()
 	}
-	tx.onCommit = tx.onCommit[:0]
-	tx.onAbort = tx.onAbort[:0]
+	tx.onCommit = truncate(tx.onCommit)
+	tx.onAbort = truncate(tx.onAbort)
+}
+
+// truncate empties s for reuse and zeroes the entries it held, so a
+// buffer's tail past its length is always zero. The value- and
+// closure-bearing buffers (writes, deltas, Defer hooks) are only ever
+// shortened through it: putTx then clears just what the call used, and an
+// idle pooled handle pins no user values.
+func truncate[E any](s []E) []E {
+	clear(s)
+	return s[:0]
 }
 
 // record forwards an event to the TM's recorder, if any.
