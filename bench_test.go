@@ -16,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/intset"
 	"repro/internal/sched"
+	"repro/internal/shard"
 	"repro/internal/txstruct"
 )
 
@@ -382,4 +383,88 @@ func BenchmarkHashSetMixed(b *testing.B) {
 	})
 	set, _ := factoryBuild(f)
 	runCollectionMix(b, set, 10, 10)
+}
+
+// --- The ordered map, over one benchmark/ shard's keys ---------------------
+
+// BenchmarkTreeMap measures txstruct.TreeMapOf over the keys one shard of
+// the composite-store benchmark holds (the 16 384 keys of 0..65535 that a
+// 4-shard partition routes to shard 0, bound ascending in transactions of
+// 8, as the store's set-up does): a classic get and overwrite of a bound
+// key, an insert of a key the shard does not hold, and a snapshot scan of
+// [k, k+64], which holds 16 of the shard's keys on average.
+func BenchmarkTreeMap(b *testing.B) {
+	const numKeys, scanSpan = 1 << 16, 64
+	part := shard.New(4)
+	var bound, free []int
+	for k := 0; k < numKeys; k++ {
+		if part.ShardForKey(k) == 0 {
+			bound = append(bound, k)
+		} else {
+			free = append(free, k)
+		}
+	}
+	build := func(b *testing.B) (*core.TM, *txstruct.TreeMapOf[int]) {
+		tm := core.New()
+		m := txstruct.NewTreeMapOf[int](tm, core.Snapshot)
+		for lo := 0; lo < len(bound); lo += 8 {
+			if err := tm.Atomically(core.Classic, func(tx *core.Tx) error {
+				for _, k := range bound[lo:min(lo+8, len(bound))] {
+					m.PutTx(tx, k, k)
+				}
+				return nil
+			}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return tm, m
+	}
+	// pick walks keys in a fixed pseudo-random order.
+	pick := func(keys []int, i int) int { return keys[uint(i)*0x9e3779b1%uint(len(keys))] }
+	var key, sink int
+	ops := []struct {
+		name string
+		sem  core.Semantics
+		fn   func(m *txstruct.TreeMapOf[int]) func(*core.Tx) error
+	}{
+		{"get", core.Classic, func(m *txstruct.TreeMapOf[int]) func(*core.Tx) error {
+			return func(tx *core.Tx) error { v, _ := m.GetTx(tx, key); sink += v; return nil }
+		}},
+		{"overwrite", core.Classic, func(m *txstruct.TreeMapOf[int]) func(*core.Tx) error {
+			return func(tx *core.Tx) error { m.PutTx(tx, key, key); return nil }
+		}},
+		{"insert", core.Classic, func(m *txstruct.TreeMapOf[int]) func(*core.Tx) error {
+			return func(tx *core.Tx) error { m.PutTx(tx, key, key); return nil }
+		}},
+		{"range16", core.Snapshot, func(m *txstruct.TreeMapOf[int]) func(*core.Tx) error {
+			visit := func(k, v int) bool { sink += v; return true }
+			return func(tx *core.Tx) error { m.RangeTx(tx, key, key+scanSpan, visit); return nil }
+		}},
+	}
+	for _, op := range ops {
+		b.Run(op.name, func(b *testing.B) {
+			tm, m := build(b)
+			fn := op.fn(m)
+			keys := bound
+			if op.name == "insert" {
+				keys = free
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if op.name == "insert" && i > 0 && i%len(free) == 0 {
+					// Every free key is bound now: start again from the
+					// shard's own keys.
+					b.StopTimer()
+					tm, m = build(b)
+					fn = op.fn(m)
+					b.StartTimer()
+				}
+				key = pick(keys, i)
+				if err := tm.Atomically(op.sem, fn); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -523,8 +523,15 @@ func (e errTest) Error() string { return string(e) }
 // entries ever passed through. Before evicted entries were scrubbed, each
 // one stayed reachable from the superseded record of a link cell that is
 // never written again, and kept the victim before it alive the same way:
-// one chain holding every victim ever.
+// one chain holding every victim ever. A race build runs a tenth of the
+// inserts: the race runtime makes each one far slower, and a retained
+// victim per eviction still grows the live heap past the bound at that
+// size.
 func TestEvictionDoesNotLeak(t *testing.T) {
+	early, total := 20_000, 200_000
+	if core.PrivatizeGuardsEnabled { // race builds
+		early, total = 2_000, 20_000
+	}
 	tm := core.New()
 	c := NewWith[int](tm, 256, Options{Stripes: 4})
 	live := func() uint64 {
@@ -545,18 +552,18 @@ func TestEvictionDoesNotLeak(t *testing.T) {
 			}
 		}
 	}
-	fill(0, 20_000)
-	early := live()
-	fill(20_000, 200_000)
+	fill(0, early)
+	before := live()
+	fill(early, total)
 	late := live()
 	if err := c.Check(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, evictions := c.Stats(); evictions != 200_000-256 {
-		t.Fatalf("%d evictions, want %d", evictions, 200_000-256)
+	if _, _, evictions := c.Stats(); evictions != int64(total-256) {
+		t.Fatalf("%d evictions, want %d", evictions, total-256)
 	}
-	t.Logf("live heap: %d KiB after 20k inserts, %d KiB after 200k", early>>10, late>>10)
-	if late > early+early/2 {
-		t.Fatalf("live heap grew from %d to %d bytes over 180k evictions: evicted entries are retained", early, late)
+	t.Logf("live heap: %d KiB after %d inserts, %d KiB after %d", before>>10, early, late>>10, total)
+	if late > before+before/2 {
+		t.Fatalf("live heap grew from %d to %d bytes over %d evictions: evicted entries are retained", before, late, total-early)
 	}
 }

@@ -23,7 +23,7 @@ import (
 // TypedCell[any] is the cell for heterogeneous values.
 //
 // A TypedCell is either allocated on its own by NewTypedCell or embedded
-// by value in a larger structure — a tree node's links, say — and
+// by value in a larger structure — a list node's links, say — and
 // initialized in place by InitTypedCell, so a node and all its cells are
 // one allocation. Either way it is used only with transactions of the TM
 // that initialized it, and never copied after initialization (go vet's

@@ -230,9 +230,10 @@ func (w *setWorkload) check(log *history.ExecLog, recs []OpRecord) error {
 // ---- treemap ----
 
 type treeWorkload struct {
-	tm   *core.TM
-	m    *txstruct.TreeMapOf[any]
-	keys int
+	tm     *core.TM
+	m      *txstruct.TreeMapOf[any]
+	keys   int
+	height int // filled by check for notes
 }
 
 func (w *treeWorkload) name() string { return "treemap" }
@@ -306,6 +307,14 @@ func (w *treeWorkload) check(log *history.ExecLog, recs []OpRecord) error {
 	if len(keys) != len(want) {
 		return fmt.Errorf("treemap: final key count %d, model has %d", len(keys), len(want))
 	}
+	// At 4B keys the preload alone overflows a leaf: a run that never
+	// split stayed in one leaf and exercised no inner node.
+	if w.keys >= 4*txstruct.TreeFanout && w.m.Splits() == 0 {
+		return fmt.Errorf("treemap: %d keys and no node split (B = %d)", w.keys, txstruct.TreeFanout)
+	}
+	if w.height, err = w.m.Height(); err != nil {
+		return err
+	}
 	for i, k := range want {
 		if keys[i] != k {
 			return fmt.Errorf("treemap: final key[%d] = %d, model has %d", i, keys[i], k)
@@ -320,6 +329,11 @@ func (w *treeWorkload) check(log *history.ExecLog, recs []OpRecord) error {
 		}
 	}
 	return nil
+}
+
+// notes reports the tree's final height and its committed splits.
+func (w *treeWorkload) notes() []string {
+	return []string{fmt.Sprintf("treemap: height %d, %d splits (B = %d)", w.height, w.m.Splits(), txstruct.TreeFanout)}
 }
 
 // ---- queue ----

@@ -1,95 +1,136 @@
 package txstruct
 
 import (
-	"math/rand"
 	"runtime"
 	"runtime/debug"
-	"slices"
 	"testing"
 
 	"repro/internal/core"
 )
 
-// youngWrites is a core.Recorder counting, over committed transactions,
-// the cells written while they had fewer than keep committed writes
-// behind them: the installs that find the cell's freelist still empty and
-// allocate a version record. (The first keep installs of a cell allocate;
-// from then on its keep+1 records cycle.) It is single-goroutine only.
-type youngWrites struct {
-	keep    int
-	writes  []uint8 // committed writes per cell ID, saturating at keep
-	pending []uint64
-	young   int
-}
+// These fences pin TreeMapOf's allocations: reads and overwrites allocate
+// nothing, and an insert that does not split allocates its value cell and
+// the leaf's new block. The race runtime defeats sync.Pool reuse, so they
+// skip there.
 
-func (r *youngWrites) Record(ev core.Event) {
-	switch ev.Kind {
-	case core.EventBegin:
-		r.pending = r.pending[:0]
-	case core.EventWrite:
-		if !slices.Contains(r.pending, ev.Cell) {
-			r.pending = append(r.pending, ev.Cell)
-		}
-	case core.EventCommit:
-		for _, id := range r.pending {
-			if int(r.writes[id]) < r.keep {
-				r.writes[id]++
-				r.young++
-			}
-		}
-		r.pending = r.pending[:0]
-	}
-}
-
-// TestTreeMapInsertAllocatesOneNode fences the node layout: an insert into
-// a warm tree allocates its node — cells and their first records included
-// — and nothing else beyond one record per young cell it writes.
-func TestTreeMapInsertAllocatesOneNode(t *testing.T) {
-	if core.PrivatizeGuardsEnabled {
-		t.Skip("race-detector builds defeat sync.Pool reuse by design")
-	}
-	rec := &youngWrites{keep: 2, writes: make([]uint8, 1<<20), pending: make([]uint64, 0, 64)}
-	tm := core.New(core.WithRecorder(rec), core.WithMaxVersions(rec.keep))
-	m := NewTreeMapOf[int](tm, 0)
-	keys := rand.New(rand.NewSource(7)).Perm(8192)
-	for _, k := range keys[:4096] {
+// warmTree builds a map binding the even keys 0..2n-2 to themselves.
+func warmTree(t *testing.T, tm *core.TM, n int) *TreeMapOf[int] {
+	t.Helper()
+	m := NewTreeMapOf[int](tm, core.Snapshot)
+	for k := 0; k < 2*n; k += 2 {
 		if _, err := m.Put(k, k); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// testing.AllocsPerRun truncates its average to an integer; count the
-	// mallocs directly, on one P as it does, and with the GC off: a cycle
-	// empties the handle pool and charges its refill to the inserts.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	const runs = 1000
-	var key int
+	return m
+}
+
+func TestTreeMapReadsAndOverwritesAllocateNothing(t *testing.T) {
+	if core.PrivatizeGuardsEnabled {
+		t.Skip("race-detector builds defeat sync.Pool reuse by design")
+	}
+	tm := core.New()
+	m := warmTree(t, tm, 4096)
+	var key, seen, sink int
+	get := func(tx *core.Tx) error {
+		v, _ := m.GetTx(tx, key)
+		sink += v
+		return nil
+	}
+	overwrite := func(tx *core.Tx) error {
+		m.PutTx(tx, key, sink)
+		return nil
+	}
+	visit := func(k, v int) bool {
+		seen++
+		return true
+	}
+	scan := func(tx *core.Tx) error {
+		seen = 0
+		m.RangeTx(tx, key, key+31, visit) // 16 even keys
+		return nil
+	}
+	for _, c := range []struct {
+		name string
+		sem  core.Semantics
+		fn   func(*core.Tx) error
+	}{
+		{"get", core.Classic, get},
+		{"overwrite", core.Classic, overwrite},
+		{"range16", core.Snapshot, scan},
+	} {
+		// Warm the handle pool and every overwritten cell's records.
+		for key = 0; key < 64; key += 2 {
+			for i := 0; i < 4; i++ {
+				if err := tm.Atomically(c.sem, c.fn); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		key = 0
+		allocs := testing.AllocsPerRun(200, func() {
+			key = (key + 2) % 64
+			if err := tm.Atomically(c.sem, c.fn); err != nil {
+				t.Error(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s allocates %.1f objects per op, want 0", c.name, allocs)
+		}
+	}
+	if seen != 16 {
+		t.Fatalf("range16 visited %d keys, want 16", seen)
+	}
+}
+
+// TestTreeMapInsertAllocatesValueCellAndLeaf inserts a key into a leaf
+// with room and deletes it again, many times: each insert allocates
+// exactly two objects, the key's value cell (its first record inside it)
+// and the leaf's new block. The leaf's cell, written by every round,
+// cycles its version records.
+func TestTreeMapInsertAllocatesValueCellAndLeaf(t *testing.T) {
+	if core.PrivatizeGuardsEnabled {
+		t.Skip("race-detector builds defeat sync.Pool reuse by design")
+	}
+	tm := core.New()
+	m := warmTree(t, tm, 1024)
+	const key = 1001 // odd: never bound by warmTree
 	insert := func(tx *core.Tx) error {
 		if !m.PutTx(tx, key, key) {
 			t.Errorf("key %d was already bound", key)
 		}
 		return nil
 	}
-	// Re-warm the handle pool, which the GOMAXPROCS switch emptied.
-	for _, key = range keys[4096:4196] {
-		if err := tm.Atomically(core.Classic, insert); err != nil {
-			t.Fatal(err)
-		}
+	remove := func(tx *core.Tx) error {
+		m.DeleteTx(tx, key)
+		return nil
 	}
-	young := rec.young
+	// Count the mallocs directly, on one P as testing.AllocsPerRun does,
+	// and with the GC off: a cycle empties the handle pool and charges its
+	// refill to the inserts.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const runs = 200
+	splits := m.Splits()
+	var allocs uint64
 	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for _, key = range keys[4196 : 4196+runs] {
+	for i := -8; i < runs; i++ { // the first 8 rounds warm the records
+		runtime.ReadMemStats(&before)
 		if err := tm.Atomically(core.Classic, insert); err != nil {
 			t.Fatal(err)
 		}
+		runtime.ReadMemStats(&after)
+		if i >= 0 {
+			allocs += after.Mallocs - before.Mallocs
+		}
+		if err := tm.Atomically(core.Classic, remove); err != nil {
+			t.Fatal(err)
+		}
 	}
-	runtime.ReadMemStats(&after)
-	allocs, records := after.Mallocs-before.Mallocs, uint64(rec.young-young)
-	t.Logf("%d inserts: %d objects, %d of them records of young cells", runs, allocs, records)
-	// runs/100 of slack absorbs the runtime's own occasional mallocs.
-	if allocs > runs+records+runs/100 {
-		t.Fatalf("%d inserts allocate %d objects, want at most %d nodes + %d young-cell records",
-			runs, allocs, runs, records)
+	if m.Splits() != splits {
+		t.Fatalf("the inserts split %d node(s), want none", m.Splits()-splits)
+	}
+	if allocs != 2*runs {
+		t.Fatalf("%d inserts allocate %d objects, want exactly 2 each (value cell, leaf block)", runs, allocs)
 	}
 }

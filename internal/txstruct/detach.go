@@ -1,6 +1,10 @@
 package txstruct
 
-import "repro/internal/core"
+import (
+	"math"
+
+	"repro/internal/core"
+)
 
 // This file is the structure-level privatization skin: TreeMapOf.Detach
 // freezes the whole tree behind core.TM.Privatize's quiescence barrier
@@ -12,9 +16,10 @@ import "repro/internal/core"
 // new writers to THIS map before calling Detach (other maps and cells of
 // the TM may keep committing freely — the barrier drains in-flight
 // transactions TM-wide, but only this map must stay write-free while
-// detached). In race builds Detach walks the frozen tree once and marks
-// every node cell, so a writer that slips the fence panics loudly at its
-// first touch.
+// detached). In race builds Detach walks the frozen tree's blocks once
+// and marks every node cell and every value cell, so a writer that slips
+// the fence panics loudly at its first touch — an overwrite, which stores
+// a value cell only, included.
 
 // DetachedTreeMapOf is a frozen, detached view of a TreeMapOf at a fixed
 // epoch: safe for concurrent use by any number of readers with no
@@ -37,21 +42,21 @@ func (m *TreeMapOf[V]) Detach() (*DetachedTreeMapOf[V], error) {
 	d := &DetachedTreeMapOf[V]{m: m, p: p}
 	if core.PrivatizeGuardsEnabled {
 		// Guard walk (race builds only): arm the loud-error rails on
-		// every cell of the frozen tree, root included.
-		m.root.MarkDetached(p)
-		var mark func(n *tnode[V])
-		mark = func(n *tnode[V]) {
-			if n == nil {
-				return
+		// every node cell of the frozen tree, root included, and on
+		// every value cell.
+		var mark func(c *core.TypedCell[*block[V]])
+		mark = func(c *core.TypedCell[*block[V]]) {
+			c.MarkDetached(p)
+			b := c.LoadDetached(p)
+			for i := 0; i < b.n; i++ {
+				if b.leaf {
+					b.vals[i].MarkDetached(p)
+				} else {
+					mark(b.kids[i])
+				}
 			}
-			n.val.MarkDetached(p)
-			n.left.MarkDetached(p)
-			n.right.MarkDetached(p)
-			n.red.MarkDetached(p)
-			mark(n.left.LoadDetached(p))
-			mark(n.right.LoadDetached(p))
 		}
-		mark(m.root.LoadDetached(p))
+		mark(&m.root)
 	}
 	return d, nil
 }
@@ -69,16 +74,12 @@ func (d *DetachedTreeMapOf[V]) Republish() { d.p.Republish() }
 // Get returns the value bound to key in the frozen view: a plain tree
 // descent, no transaction.
 func (d *DetachedTreeMapOf[V]) Get(key int) (V, bool) {
-	n := d.m.root.LoadDetached(d.p)
-	for n != nil {
-		switch {
-		case key < n.key:
-			n = n.left.LoadDetached(d.p)
-		case key > n.key:
-			n = n.right.LoadDetached(d.p)
-		default:
-			return n.val.LoadDetached(d.p), true
-		}
+	b := d.m.root.LoadDetached(d.p)
+	for !b.leaf {
+		b = b.kids[b.childFor(key)].LoadDetached(d.p)
+	}
+	if i := b.lowerBound(key); i < b.n && b.keys[i] == key {
+		return b.vals[i].LoadDetached(d.p), true
 	}
 	var zero V
 	return zero, false
@@ -94,44 +95,33 @@ func (d *DetachedTreeMapOf[V]) Len() int {
 // Ascend visits bindings in ascending key order, stopping when fn
 // returns false.
 func (d *DetachedTreeMapOf[V]) Ascend(fn func(key int, val V) bool) {
-	var walk func(h *tnode[V]) bool
-	walk = func(h *tnode[V]) bool {
-		if h == nil {
-			return true
-		}
-		if !walk(h.left.LoadDetached(d.p)) {
-			return false
-		}
-		if !fn(h.key, h.val.LoadDetached(d.p)) {
-			return false
-		}
-		return walk(h.right.LoadDetached(d.p))
-	}
-	walk(d.m.root.LoadDetached(d.p))
+	d.Range(math.MinInt, math.MaxInt, fn)
 }
 
-// Range visits bindings with lo <= key <= hi ascending, pruning subtrees
-// outside the range, stopping when fn returns false.
+// Range visits bindings with lo <= key <= hi ascending, stopping when fn
+// returns false. It is TreeMapOf.RangeTx's walk over plain loads.
 func (d *DetachedTreeMapOf[V]) Range(lo, hi int, fn func(key int, val V) bool) {
-	var walk func(h *tnode[V]) bool
-	walk = func(h *tnode[V]) bool {
-		if h == nil {
-			return true
-		}
-		if h.key > lo {
-			if !walk(h.left.LoadDetached(d.p)) {
+	if lo <= hi {
+		d.walkRange(d.m.root.LoadDetached(d.p), lo, hi, fn)
+	}
+}
+
+func (d *DetachedTreeMapOf[V]) walkRange(b *block[V], lo, hi int, fn func(int, V) bool) bool {
+	if b.leaf {
+		for i := b.lowerBound(lo); i < b.n; i++ {
+			if b.keys[i] > hi || !fn(b.keys[i], b.vals[i].LoadDetached(d.p)) {
 				return false
 			}
-		}
-		if h.key >= lo && h.key <= hi {
-			if !fn(h.key, h.val.LoadDetached(d.p)) {
-				return false
-			}
-		}
-		if h.key < hi {
-			return walk(h.right.LoadDetached(d.p))
 		}
 		return true
 	}
-	walk(d.m.root.LoadDetached(d.p))
+	for i := b.childFor(lo); i < b.n; i++ {
+		if !d.walkRange(b.kids[i].LoadDetached(d.p), lo, hi, fn) {
+			return false
+		}
+		if i+1 < b.n && b.keys[i+1] > hi {
+			return false
+		}
+	}
+	return true
 }

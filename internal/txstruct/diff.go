@@ -23,14 +23,15 @@ const (
 	// DiffAdded: the key is bound at the newer pin but not the older.
 	DiffAdded DiffKind = iota + 1
 	// DiffChanged: the key is bound at both pins and was rewritten in
-	// between. Change detection is MVCC-based — the value record visible
-	// at the newer pin was committed after the older pin's version (an
-	// in-place overwrite, reported even when the new value happens to equal
-	// the old: the diff captures writes). When only the tree NODE holding
-	// the binding was replaced — a delete-and-reinsert, or the value-
-	// preserving successor graft an LLRB delete performs on an unrelated
-	// key — the payloads are compared and DiffChanged is emitted only if
-	// they differ, so structural churn alone never reports a change.
+	// between. Change detection is MVCC-first: when the binding's value
+	// cell is the same at both pins, the key changed iff the record
+	// visible at the newer pin was committed after the older pin (an
+	// in-place overwrite, reported even when the new value happens to
+	// equal the old: the diff captures writes). When the value cell was
+	// replaced — the key was deleted and inserted again — the payloads
+	// are compared and DiffChanged is emitted only if they differ. Node
+	// splits and unlinks move value cells between blocks but never
+	// replace one, so structural churn alone never reports a change.
 	DiffChanged
 	// DiffDeleted: the key is bound at the older pin but not the newer.
 	DiffDeleted
@@ -55,12 +56,12 @@ func (k DiffKind) String() string {
 const diffChunk = 256
 
 // diffEnt is one binding collected at a pin during the merged walk: the
-// node pointer and the value record's commit version are what classify a
+// value cell and its record's commit version are what classify a
 // both-sides key as changed or unchanged without comparing values.
 type diffEnt[V any] struct {
 	key  int
 	val  V
-	node *tnode[V]
+	cell *core.TypedCell[V]
 	ver  uint64
 }
 
@@ -78,16 +79,15 @@ type diffEnt[V any] struct {
 // land during the walk. fn runs OUTSIDE any transaction, exactly once per
 // difference, and may stop the walk early by returning false.
 //
-// Change detection is MVCC-first: a binding is DiffChanged when the value
-// record visible at pNew was committed after pOld.Version() (an in-place
-// overwrite — reported even for an equal value, since the diff captures
-// writes). When instead only the tree node holding the key was replaced
-// (delete-and-reinsert, or the value-preserving successor graft an LLRB
-// delete performs on a DIFFERENT key), the old and new payloads are
-// compared with reflect.DeepEqual and the binding is emitted only if they
-// differ: pure structural node churn no longer produces spurious
-// equal-value DiffChanged events, which keeps incremental diffs
-// proportional to real churn.
+// Change detection is MVCC-first: when the key's value cell is the same
+// at both pins, the binding is DiffChanged iff the record visible at pNew
+// was committed after pOld.Version() (an in-place overwrite — reported
+// even for an equal value, since the diff captures writes). When the
+// value cell differs (the key was deleted and inserted again in between),
+// the old and new payloads are compared with reflect.DeepEqual and the
+// binding is emitted only if they differ. Leaf splits and unlinks copy
+// blocks but carry the value cells over, so structural churn produces no
+// DiffChanged events and the diff stays proportional to real churn.
 func (m *TreeMapOf[V]) SnapshotDiff(pOld, pNew *core.SnapshotPin, fn func(key int, old, new V, kind DiffKind) bool) error {
 	return m.snapshotDiff(pOld, pNew, diffChunk, fn)
 }
@@ -158,21 +158,17 @@ func (m *TreeMapOf[V]) snapshotDiff(pOld, pNew *core.SnapshotPin, chunk int, fn 
 				}
 				j++
 			default:
-				// Bound at both pins. Rewritten iff the record visible at
-				// pNew postdates pOld (in-place overwrite of one node's
-				// value cell) or the node itself was replaced with a
-				// different payload (a fresh node's value cell starts at
-				// version 0, which is what makes the node-identity check
-				// necessary: a delete-and-reinsert between the pins would
-				// otherwise masquerade as unchanged). Node replacement
-				// alone is not a change: an LLRB delete's successor graft
-				// rebuilds nodes while preserving their values, so the
-				// payloads are compared before emitting.
+				// Bound at both pins. The same value cell was rewritten
+				// iff the record visible at pNew postdates pOld; a new
+				// value cell (a fresh one starts at version 0, so its
+				// version says nothing) is a change iff the payload is.
 				o, n := &oldEnts[i], &newEnts[j]
-				if n.ver > oldVer || (o.node != n.node && !reflect.DeepEqual(o.val, n.val)) {
-					if !fn(n.key, o.val, n.val, DiffChanged) {
-						return nil
-					}
+				changed := n.ver > oldVer
+				if o.cell != n.cell {
+					changed = !reflect.DeepEqual(o.val, n.val)
+				}
+				if changed && !fn(n.key, o.val, n.val, DiffChanged) {
+					return nil
 				}
 				i++
 				j++
@@ -189,7 +185,7 @@ func (m *TreeMapOf[V]) snapshotDiff(pOld, pNew *core.SnapshotPin, chunk int, fn 
 }
 
 // collectDiffChunk collects up to limit bindings with key >= lo at the
-// pin's version, each with its node identity and value-record commit
+// pin's version, each with its value cell and that cell's record commit
 // version. more reports that the walk stopped at the limit (every key up
 // to the last collected one was enumerated; keys beyond it were not). The
 // closure may retry, so the chunk accumulates into a buffer reset at the
@@ -198,25 +194,25 @@ func (m *TreeMapOf[V]) collectDiffChunk(p *core.SnapshotPin, lo, limit int, buf 
 	err = p.Atomically(func(tx *core.Tx) error {
 		buf = buf[:0]
 		more = false
-		var walk func(h *tnode[V]) bool
-		walk = func(h *tnode[V]) bool {
-			if h == nil {
+		var walk func(b *block[V]) bool
+		walk = func(b *block[V]) bool {
+			if !b.leaf {
+				for i := b.childFor(lo); i < b.n; i++ {
+					if !walk(b.kids[i].Load(tx)) {
+						return false
+					}
+				}
 				return true
 			}
-			if h.key > lo {
-				if !walk(h.left.Load(tx)) {
-					return false
-				}
-			}
-			if h.key >= lo {
+			for i := b.lowerBound(lo); i < b.n; i++ {
 				if len(buf) == limit {
 					more = true
 					return false
 				}
-				v, ver := h.val.LoadVersioned(tx)
-				buf = append(buf, diffEnt[V]{key: h.key, val: v, node: h, ver: ver})
+				v, ver := b.vals[i].LoadVersioned(tx)
+				buf = append(buf, diffEnt[V]{key: b.keys[i], val: v, cell: b.vals[i], ver: ver})
 			}
-			return walk(h.right.Load(tx))
+			return true
 		}
 		walk(m.root.Load(tx))
 		return nil

@@ -78,9 +78,9 @@ func TestSnapshotDiffBasic(t *testing.T) {
 	}
 	for _, chunk := range []int{1, 2, 3, 256} {
 		got := collectDiff(t, m, pOld, pNew, chunk)
-		// The LLRB delete's successor graft rebuilds nodes with preserved
-		// values; the payload comparison must suppress those, so the diff
-		// matches `want` exactly — no equal-value DiffChanged tolerated.
+		// The deletes copy leaf blocks and carry the other keys' value
+		// cells over; none of that may show, so the diff matches `want`
+		// exactly — no equal-value DiffChanged tolerated.
 		seen := make(map[int]bool)
 		prev := -1 << 62
 		for _, r := range got {
@@ -292,78 +292,126 @@ func TestSnapshotDiffUnderCommitters(t *testing.T) {
 	}
 }
 
-// TestSnapshotDiffDeleteSuccessorGraft is the regression test for the
-// spurious equal-value DiffChanged the LLRB delete used to emit: deleting
-// an interior node grafts its in-order successor into place by REBUILDING
-// nodes with preserved values, and the old MVCC-only change detection saw
-// the fresh node pointers as rewrites. Every key in a populated map is
-// deleted in its own pin window (so the set of deletions exercises every
-// tree shape, two-child interior deletes included) and each window's diff
-// must contain exactly the one DiffDeleted — zero changed events, equal-
-// value or otherwise. A delete + equal-value reinsert window must emit
-// nothing at all.
-func TestSnapshotDiffDeleteSuccessorGraft(t *testing.T) {
-	const n = 32
+// leafCount counts the tree's leaves at the current version.
+func leafCount(t *testing.T, tm *core.TM, m *TreeMapOf[int]) int {
+	t.Helper()
+	n := 0
+	var walk func(tx *core.Tx, b *block[int])
+	walk = func(tx *core.Tx, b *block[int]) {
+		if b.leaf {
+			n++
+			return
+		}
+		for i := 0; i < b.n; i++ {
+			walk(tx, b.kids[i].Load(tx))
+		}
+	}
+	if err := tm.Atomically(core.Snapshot, func(tx *core.Tx) error {
+		n = 0
+		walk(tx, m.root.Load(tx))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// TestSnapshotDiffSplitAndUnlinkChurnReportsNoUnchangedKey: leaf splits
+// and unlinks copy blocks and move value cells between them, and none of
+// that may surface as a change. Each pin window below changes a known set
+// of keys — inserts that split leaves, deletes that empty and unlink
+// them — and its diff must name exactly those keys, at every chunk size.
+// A window that deletes keys and inserts them again with equal values
+// replaces their value cells and must diff empty.
+func TestSnapshotDiffSplitAndUnlinkChurnReportsNoUnchangedKey(t *testing.T) {
+	const n = 4 * TreeFanout
 	tm := core.New()
 	m := NewTreeMapOf[int](tm, core.Snapshot)
-	for k := 0; k < n; k++ {
+	for k := 0; k < 2*n; k += 2 {
 		if _, err := m.Put(k, 1000+k); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for k := 0; k < n; k++ {
+	// window runs churn between two pins and checks the diff is want.
+	window := func(name string, churn func(), want map[int]diffRec) {
+		t.Helper()
 		pOld, err := tm.PinSnapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := m.Delete(k); err != nil {
-			pOld.Release()
-			t.Fatal(err)
-		}
+		defer pOld.Release()
+		churn()
 		pNew, err := tm.PinSnapshot()
 		if err != nil {
-			pOld.Release()
 			t.Fatal(err)
 		}
+		defer pNew.Release()
 		for _, chunk := range []int{1, 3, 256} {
 			got := collectDiff(t, m, pOld, pNew, chunk)
-			if len(got) != 1 || got[0].kind != DiffDeleted || got[0].key != k || got[0].old != 1000+k {
-				t.Fatalf("delete %d (chunk %d): diff = %+v, want exactly [deleted %d]", k, chunk, got, k)
+			if len(got) != len(want) {
+				t.Fatalf("%s (chunk %d): %d diffs, want %d: %+v", name, chunk, len(got), len(want), got)
+			}
+			for _, r := range got {
+				if r != want[r.key] {
+					t.Fatalf("%s (chunk %d): key %d: got %+v, want %+v", name, chunk, r.key, r, want[r.key])
+				}
 			}
 		}
-		pOld.Release()
-		pNew.Release()
 	}
-
-	// Rebuild, then delete + reinsert the same binding inside one pin
-	// window: the node is replaced but the binding is identical, so the
-	// window must diff empty.
-	for k := 0; k < n; k++ {
-		if _, err := m.Put(k, 1000+k); err != nil {
+	put := func(k, v int) {
+		t.Helper()
+		if _, err := m.Put(k, v); err != nil {
 			t.Fatal(err)
 		}
 	}
-	pOld, err := tm.PinSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pOld.Release()
-	for _, k := range []int{5, 13, 21} {
+	del := func(k int) {
+		t.Helper()
 		if _, err := m.Delete(k); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := m.Put(k, 1000+k); err != nil {
-			t.Fatal(err)
+	}
+
+	// Splits: fill the odd keys of one stretch in windows of a few keys.
+	splits := m.Splits()
+	for lo := 1; lo < 2*n; lo += 2 * 8 {
+		want := map[int]diffRec{}
+		window("insert", func() {
+			for k := lo; k < lo+2*8 && k < 2*n; k += 2 {
+				put(k, 1000+k)
+				want[k] = diffRec{key: k, new: 1000 + k, kind: DiffAdded}
+			}
+		}, want)
+	}
+	if m.Splits() == splits {
+		t.Fatal("the inserts split no leaf; the test proves nothing")
+	}
+
+	// Unlinks: every key 0..2n-1 is bound now; delete stretches of 2B,
+	// each emptying at least one leaf.
+	leaves := leafCount(t, tm, m)
+	for lo := 0; lo < 2*n; lo += 2 * TreeFanout {
+		want := map[int]diffRec{}
+		window("delete", func() {
+			for k := lo; k < lo+2*TreeFanout; k++ {
+				del(k)
+				want[k] = diffRec{key: k, old: 1000 + k, kind: DiffDeleted}
+			}
+		}, want)
+	}
+	if after := leafCount(t, tm, m); after >= leaves {
+		t.Fatalf("%d leaves after the deletes, %d before: no leaf was unlinked", after, leaves)
+	}
+
+	// Delete and reinsert with equal values: new value cells, same payload.
+	for k := 0; k < 2*n; k++ {
+		put(k, 1000+k)
+	}
+	window("reinsert", func() {
+		for _, k := range []int{5, 13, 21} {
+			del(k)
+			put(k, 1000+k)
 		}
-	}
-	pNew, err := tm.PinSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pNew.Release()
-	if got := collectDiff(t, m, pOld, pNew, 3); len(got) != 0 {
-		t.Fatalf("delete+equal-reinsert window diff = %+v, want empty", got)
-	}
+	}, map[int]diffRec{})
 }
 
 func pinnedState(t *testing.T, m *TreeMapOf[int], p *core.SnapshotPin) map[int]int {

@@ -14,11 +14,11 @@ import (
 // return exactly the bindings committed at pin time — across MANY
 // successive range transactions on one pin — while 8+ committers mutate
 // the tree. The committers preserve an invariant (they only insert/delete
-// keys outside the pinned key space and rebalance freely through it), and
-// the pinned keys carry a checksum value, so a walk mixing versions is
-// caught by value, by membership and by order. Run with -race: the tree's
-// typed node cells recycle version records, and the pinned walk must
-// never observe one mid-rewrite.
+// keys outside the pinned key space, splitting and unlinking nodes through
+// it), and the pinned keys carry a checksum value, so a walk mixing
+// versions is caught by value, by membership and by order. Run with
+// -race: the tree's node and value cells recycle version records, and the
+// pinned walk must never observe one mid-rewrite.
 func TestTreeMapSnapshotRangeConsistentUnderCommitters(t *testing.T) {
 	const (
 		pinnedKeys = 64

@@ -2,45 +2,146 @@ package txstruct
 
 import (
 	"fmt"
+	"math"
+	"sync/atomic"
 
 	"repro/internal/core"
 )
 
-// tnode is one tree node. The key is immutable; the value, children and
-// color are typed transactional cells — and, being typed, they carry node
-// pointers and colour bits in specialized records instead of boxed
-// interfaces. The cells are embedded in the node, each with its version-0
-// record inside it, so a node is one allocation and a descent steps from
-// node to cell to record without another pointer: an insert allocates its
-// node, plus a record for each cell it writes that is still within its
-// first WithMaxVersions updates (after those, a cell's records cycle).
-//
-// A mutation stores to a cell only when the value it writes differs from
-// the one the transaction just loaded there (a silent store would lock,
-// version and install the cell to change nothing, and would make the
-// writer conflict with every reader of it). The cells a put or delete
-// merely passed through stay in its read set; the ones it writes are the
-// links and colours that really change.
-type tnode[V any] struct {
-	key   int
-	val   core.TypedCell[V]
-	left  core.TypedCell[*tnode[V]]
-	right core.TypedCell[*tnode[V]]
-	red   core.TypedCell[bool]
+// TreeFanout is B, the most entries one node holds: keys in a leaf,
+// children in an inner node. It is a constant of the design, not an
+// option: 32 measured ahead of 16 on the tree benchmarks (README).
+const TreeFanout = 32
+
+// block is a node's contents, immutable once a cell holds it: n entries in
+// ascending key order, each a key and either the child's node cell (inner)
+// or the binding's value cell (leaf). In an inner block keys[i] bounds
+// child i's keys from below and keys[i+1] from above (exclusive); keys[0]
+// is never read, since every key below keys[1] belongs to child 0. The
+// unused one of kids and vals stays nil.
+type block[V any] struct {
+	n    int
+	leaf bool
+	keys [TreeFanout]int
+	kids [TreeFanout]*core.TypedCell[*block[V]]
+	vals [TreeFanout]*core.TypedCell[V]
 }
 
-// TreeMapOf is a transactional ordered map: a left-leaning red-black tree
-// (Sedgewick's 2-3 variant) whose mutations are plain sequential code
-// inside classic transactions — the "more complex objects" direction the
-// paper cites ([18]) beyond flat sets. Lookups and updates are classic;
-// range reads (Len, Keys, Ascend) run under the configured read-only
-// semantics, Snapshot by default, so full-tree scans neither abort nor
-// block writers. The value type is generic: TreeMapOf[int] moves its
-// values through word-specialized records with no boxing anywhere.
+// lowerBound returns the first index whose key is >= key (n if none). The
+// binary search is written out: sort.Search's closure call cost a quarter
+// of a get.
+func (b *block[V]) lowerBound(key int) int {
+	lo, hi := 0, b.n
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if b.keys[mid] < key {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// childFor returns the index of the child of inner block b whose key range
+// holds key: the last i with keys[i] <= key, or 0.
+func (b *block[V]) childFor(key int) int {
+	lo, hi := 1, b.n
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if b.keys[mid] <= key {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo - 1
+}
+
+// copyFrom copies n entries of src, from index from on, to b at index at.
+func (b *block[V]) copyFrom(at int, src *block[V], from, n int) {
+	copy(b.keys[at:at+n], src.keys[from:from+n])
+	if b.leaf {
+		copy(b.vals[at:at+n], src.vals[from:from+n])
+	} else {
+		copy(b.kids[at:at+n], src.kids[from:from+n])
+	}
+}
+
+// insert returns a copy of b with the entry (key, kid or val) at index i:
+// one block, or, when b is already full, a left and a right half. b itself
+// is left as it was.
+func (b *block[V]) insert(i, key int, kid *core.TypedCell[*block[V]], val *core.TypedCell[V]) (l, r *block[V]) {
+	if b.n < TreeFanout {
+		l = &block[V]{n: b.n + 1, leaf: b.leaf}
+		l.copyFrom(0, b, 0, i)
+		l.keys[i], l.kids[i], l.vals[i] = key, kid, val
+		l.copyFrom(i+1, b, i, b.n-i)
+		return l, nil
+	}
+	const half = (TreeFanout + 1) / 2
+	l = &block[V]{n: half, leaf: b.leaf}
+	r = &block[V]{n: TreeFanout + 1 - half, leaf: b.leaf}
+	// Entry j of the B+1 after the insert: b's entry j before i, the new
+	// one at i, b's entry j-1 after it.
+	for j := 0; j <= TreeFanout; j++ {
+		dst, at := l, j
+		if j >= half {
+			dst, at = r, j-half
+		}
+		switch {
+		case j < i:
+			dst.copyFrom(at, b, j, 1)
+		case j == i:
+			dst.keys[at], dst.kids[at], dst.vals[at] = key, kid, val
+		default:
+			dst.copyFrom(at, b, j-1, 1)
+		}
+	}
+	return l, r
+}
+
+// without returns a copy of b lacking entry i.
+func (b *block[V]) without(i int) *block[V] {
+	nb := &block[V]{n: b.n - 1, leaf: b.leaf}
+	nb.copyFrom(0, b, 0, i)
+	nb.copyFrom(i, b, i+1, b.n-1-i)
+	return nb
+}
+
+// TreeMapOf is a transactional ordered map: a B+-tree whose mutations are
+// plain sequential code inside classic transactions — the "more complex
+// objects" direction the paper cites ([18]) beyond flat sets. Lookups and
+// updates are classic; range reads (Len, Keys, Ascend) run under the
+// configured read-only semantics, Snapshot by default, so full-tree scans
+// neither abort nor block writers.
+//
+// Each node is one cell holding an immutable block (see block), so a
+// lookup loads one cell per level and then the binding's own value cell,
+// and a scan loads one cell per node it crosses plus one per binding. The
+// value cells are what make overwrites cheap: an overwrite stores the one
+// value cell and nothing else, allocates nothing, and never conflicts with
+// an overwrite of another key. An insert or delete copies the leaf's block
+// into the leaf's cell (reusing every value cell pointer), so those
+// conflict per leaf. A full node splits: the left half stays in the node's
+// cell, the right half goes to a new cell, and the parent is copied with
+// the new child; a full root moves into a new cell, so the root cell keeps
+// its identity. A delete unlinks a node it empties (the root excepted) and
+// collapses an inner root left with one child. Nothing merges underfull
+// nodes: a node splits only after at least B/2 entries were added to it
+// since it was made, so the height stays within 1 + log_{B/2}(inserts the
+// map has seen), and a map that shrinks keeps the height it grew to until
+// its root collapses.
+//
+// A block a committed cell can reach is never written: every insert or
+// delete copies, even one that copies a block its own transaction made.
+// The value type is generic: TreeMapOf[int] moves its values through
+// word-specialized records with no boxing anywhere.
 type TreeMapOf[V any] struct {
 	tm      *core.TM
 	sizeSem core.Semantics
-	root    core.TypedCell[*tnode[V]]
+	root    core.TypedCell[*block[V]]
+	splits  atomic.Int64 // node splits by committed transactions
 }
 
 // NewTreeMapOf builds an empty typed ordered map; sizeSem selects the
@@ -50,105 +151,32 @@ func NewTreeMapOf[V any](tm *core.TM, sizeSem core.Semantics) *TreeMapOf[V] {
 		sizeSem = core.Snapshot
 	}
 	m := &TreeMapOf[V]{tm: tm, sizeSem: sizeSem}
-	core.InitTypedCell(tm, &m.root, nil)
+	core.InitTypedCell(tm, &m.root, &block[V]{leaf: true})
 	return m
 }
 
-func isRed[V any](tx *core.Tx, n *tnode[V]) bool {
-	if n == nil {
-		return false
+// replace stores nb into the node cell c, from which this transaction's
+// descent loaded old. A cell holding an inner block is loaded again first
+// and the attempt restarts if it moved: an Elastic transaction validates
+// only the reads in its window, which always holds the leaf but not
+// necessarily the nodes above it, so a copy of an inner node could rest
+// on a stale read. The reload runs after the transaction's first store,
+// as a classic read that commit validates.
+func replace[V any](tx *core.Tx, c *core.TypedCell[*block[V]], old, nb *block[V]) {
+	if !old.leaf && c.Load(tx) != old {
+		tx.Restart()
 	}
-	return n.red.Load(tx)
-}
-
-// makeNode allocates a node and its cells in one piece: a fresh leaf, or
-// the successor graft of remove.
-func (m *TreeMapOf[V]) makeNode(key int, val V, left, right *tnode[V], red bool) *tnode[V] {
-	n := &tnode[V]{key: key}
-	core.InitTypedCell(m.tm, &n.val, val)
-	core.InitTypedCell(m.tm, &n.left, left)
-	core.InitTypedCell(m.tm, &n.right, right)
-	core.InitTypedCell(m.tm, &n.red, red)
-	return n
-}
-
-// relink points link at n, unless old — what the transaction just loaded
-// from link — is n already.
-func relink[V any](tx *core.Tx, link *core.TypedCell[*tnode[V]], old, n *tnode[V]) {
-	if n != old {
-		link.Store(tx, n)
-	}
-}
-
-// rotateLeft/rotateRight/flipColors are the textbook LLRB primitives,
-// expressed as transactional stores. A rotation always changes its two
-// links; the colours it hands over change only when h and x differed.
-
-func rotateLeft[V any](tx *core.Tx, h *tnode[V]) *tnode[V] {
-	x := h.right.Load(tx)
-	h.right.Store(tx, x.left.Load(tx))
-	x.left.Store(tx, h)
-	swapColors(tx, h, x)
-	return x
-}
-
-func rotateRight[V any](tx *core.Tx, h *tnode[V]) *tnode[V] {
-	x := h.left.Load(tx)
-	h.left.Store(tx, x.right.Load(tx))
-	x.right.Store(tx, h)
-	swapColors(tx, h, x)
-	return x
-}
-
-// swapColors finishes a rotation of x above h: x takes h's colour and h
-// turns red.
-func swapColors[V any](tx *core.Tx, h, x *tnode[V]) {
-	hRed := h.red.Load(tx)
-	if x.red.Load(tx) != hRed {
-		x.red.Store(tx, hRed)
-	}
-	if !hRed {
-		h.red.Store(tx, true)
-	}
-}
-
-// flipColors toggles h and both its children, so every store changes its
-// cell.
-func flipColors[V any](tx *core.Tx, h *tnode[V]) {
-	h.red.Store(tx, !isRed(tx, h))
-	if l := h.left.Load(tx); l != nil {
-		l.red.Store(tx, !isRed(tx, l))
-	}
-	if r := h.right.Load(tx); r != nil {
-		r.red.Store(tx, !isRed(tx, r))
-	}
-}
-
-func fixUp[V any](tx *core.Tx, h *tnode[V]) *tnode[V] {
-	if isRed(tx, h.right.Load(tx)) && !isRed(tx, h.left.Load(tx)) {
-		h = rotateLeft(tx, h)
-	}
-	if l := h.left.Load(tx); isRed(tx, l) && l != nil && isRed(tx, l.left.Load(tx)) {
-		h = rotateRight(tx, h)
-	}
-	if isRed(tx, h.left.Load(tx)) && isRed(tx, h.right.Load(tx)) {
-		flipColors(tx, h)
-	}
-	return h
+	c.Store(tx, nb)
 }
 
 // GetTx returns the value bound to key inside the caller's transaction.
 func (m *TreeMapOf[V]) GetTx(tx *core.Tx, key int) (V, bool) {
-	n := m.root.Load(tx)
-	for n != nil {
-		switch {
-		case key < n.key:
-			n = n.left.Load(tx)
-		case key > n.key:
-			n = n.right.Load(tx)
-		default:
-			return n.val.Load(tx), true
-		}
+	b := m.root.Load(tx)
+	for !b.leaf {
+		b = b.kids[b.childFor(key)].Load(tx)
+	}
+	if i := b.lowerBound(key); i < b.n && b.keys[i] == key {
+		return b.vals[i].Load(tx), true
 	}
 	var zero V
 	return zero, false
@@ -156,193 +184,160 @@ func (m *TreeMapOf[V]) GetTx(tx *core.Tx, key int) (V, bool) {
 
 // PutTx binds key to val inside the caller's transaction; it reports
 // whether the key was new. Overwriting a bound key reads the search path
-// and writes the value cell, nothing else; an insert links the leaf and
-// writes the nodes it rotates or recolours, and the root cell only when
-// the root node changes — so two puts conflict only on cells one of them
-// really changes.
+// and stores the key's value cell, nothing else; an insert stores the
+// leaf's cell, and a split the cells of the nodes it copies.
 func (m *TreeMapOf[V]) PutTx(tx *core.Tx, key int, val V) bool {
-	old := m.root.Load(tx)
-	root, inserted, red := m.put(tx, old, key, val)
-	if red {
-		root.red.Store(tx, false)
+	rb := m.root.Load(tx)
+	nb, right, inserted := m.put(tx, rb, key, val)
+	if right != nil {
+		// The root split: both halves move to new cells under a new root.
+		tx.AddOnCommit(&m.splits, 1)
+		top := &block[V]{n: 2}
+		top.keys[1] = right.keys[0]
+		top.kids[0] = core.NewTypedCell(m.tm, nb)
+		top.kids[1] = core.NewTypedCell(m.tm, right)
+		nb = top
 	}
-	relink(tx, &m.root, old, root)
+	if nb != rb {
+		replace(tx, &m.root, rb, nb)
+	}
 	return inserted
 }
 
-// put binds key in the subtree under h and returns the subtree's root.
-// red reports that this root is red after an insert below it: the red
-// link is still travelling up, and the caller must fix up (or, at the
-// top, blacken the root). A black root ends the rebalancing — nothing an
-// ancestor tests has changed — so the ancestors only get their child link
-// compared.
-func (m *TreeMapOf[V]) put(tx *core.Tx, h *tnode[V], key int, val V) (root *tnode[V], inserted, red bool) {
-	if h == nil {
-		return m.makeNode(key, val, nil, nil, true), true, true
-	}
-	link := &h.left
-	switch {
-	case key > h.key:
-		link = &h.right
-	case key == h.key:
-		h.val.Store(tx, val)
-		return h, false, false
-	}
-	old := link.Load(tx)
-	child, inserted, red := m.put(tx, old, key, val)
-	relink(tx, link, old, child)
-	if !red {
-		return h, inserted, false
-	}
-	h = fixUp(tx, h)
-	return h, true, isRed(tx, h)
-}
-
-// moveRedLeft/moveRedRight are the LLRB deletion helpers.
-
-func moveRedLeft[V any](tx *core.Tx, h *tnode[V]) *tnode[V] {
-	flipColors(tx, h)
-	if r := h.right.Load(tx); r != nil && isRed(tx, r.left.Load(tx)) {
-		h.right.Store(tx, rotateRight(tx, r))
-		h = rotateLeft(tx, h)
-		flipColors(tx, h)
-	}
-	return h
-}
-
-func moveRedRight[V any](tx *core.Tx, h *tnode[V]) *tnode[V] {
-	flipColors(tx, h)
-	if l := h.left.Load(tx); l != nil && isRed(tx, l.left.Load(tx)) {
-		h = rotateRight(tx, h)
-		flipColors(tx, h)
-	}
-	return h
-}
-
-func minNode[V any](tx *core.Tx, h *tnode[V]) *tnode[V] {
-	for {
-		l := h.left.Load(tx)
-		if l == nil {
-			return h
+// put binds key to val under b, the block a node at this level holds. It
+// returns the block the node should hold (b itself when the node is
+// unchanged), the right half when the node split, and whether the key was
+// new.
+func (m *TreeMapOf[V]) put(tx *core.Tx, b *block[V], key int, val V) (nb, right *block[V], inserted bool) {
+	if b.leaf {
+		i := b.lowerBound(key)
+		if i < b.n && b.keys[i] == key {
+			b.vals[i].Store(tx, val)
+			return b, nil, false
 		}
-		h = l
+		nb, right = b.insert(i, key, nil, core.NewTypedCell(m.tm, val))
+		return nb, right, true
 	}
-}
-
-func deleteMin[V any](tx *core.Tx, h *tnode[V]) *tnode[V] {
-	l := h.left.Load(tx)
-	if l == nil {
-		return nil
+	i := b.childFor(key)
+	c := b.kids[i]
+	cb := c.Load(tx)
+	ncb, cr, inserted := m.put(tx, cb, key, val)
+	if ncb != cb {
+		replace(tx, c, cb, ncb)
 	}
-	if !isRed(tx, l) && !isRed(tx, l.left.Load(tx)) {
-		h = moveRedLeft(tx, h)
-		l = h.left.Load(tx)
+	if cr == nil {
+		return b, nil, inserted
 	}
-	relink(tx, &h.left, l, deleteMin(tx, l))
-	return fixUp(tx, h)
+	tx.AddOnCommit(&m.splits, 1)
+	nb, right = b.insert(i+1, cr.keys[0], core.NewTypedCell(m.tm, cr), nil)
+	return nb, right, inserted
 }
 
 // DeleteTx unbinds key inside the caller's transaction; it reports
 // whether the key was present.
 func (m *TreeMapOf[V]) DeleteTx(tx *core.Tx, key int) bool {
-	if _, ok := m.GetTx(tx, key); !ok {
+	rb := m.root.Load(tx)
+	nb, found := m.del(tx, rb, key)
+	if !found {
 		return false
 	}
-	old := m.root.Load(tx)
-	root := m.remove(tx, old, key)
-	if isRed(tx, root) {
-		root.red.Store(tx, false)
+	for !nb.leaf && nb.n == 1 {
+		// An inner root with one child takes the child's block.
+		c := nb.kids[0]
+		nb = c.Load(tx)
+		c.StoreFinal(tx, nil)
 	}
-	relink(tx, &m.root, old, root)
+	replace(tx, &m.root, rb, nb)
 	return true
 }
 
-// remove unbinds key, which is bound, from the subtree under h and
-// returns the subtree's root.
-func (m *TreeMapOf[V]) remove(tx *core.Tx, h *tnode[V], key int) *tnode[V] {
-	if key < h.key {
-		l := h.left.Load(tx)
-		if !isRed(tx, l) && l != nil && !isRed(tx, l.left.Load(tx)) {
-			h = moveRedLeft(tx, h)
-			l = h.left.Load(tx)
+// del unbinds key under b, the block a node at this level holds. It
+// returns the block the node should hold — b itself when the node is
+// unchanged, an empty one when the caller must unlink the node — and
+// whether the key was bound.
+//
+// An unlinked node's cell is scrubbed with StoreFinal: no transaction
+// reaches it again, and the write is what an Elastic transaction still
+// holding the node in its window conflicts on.
+func (m *TreeMapOf[V]) del(tx *core.Tx, b *block[V], key int) (*block[V], bool) {
+	if b.leaf {
+		i := b.lowerBound(key)
+		if i == b.n || b.keys[i] != key {
+			return b, false
 		}
-		relink(tx, &h.left, l, m.remove(tx, l, key))
-		return fixUp(tx, h)
+		return b.without(i), true
 	}
-	if isRed(tx, h.left.Load(tx)) {
-		h = rotateRight(tx, h)
+	i := b.childFor(key)
+	c := b.kids[i]
+	cb := c.Load(tx)
+	ncb, found := m.del(tx, cb, key)
+	switch {
+	case !found:
+		return b, false
+	case ncb.n > 0:
+		replace(tx, c, cb, ncb)
+		return b, true
+	default:
+		c.StoreFinal(tx, nil)
+		return b.without(i), true
 	}
-	if key == h.key && h.right.Load(tx) == nil {
-		return nil
-	}
-	r := h.right.Load(tx)
-	if !isRed(tx, r) && r != nil && !isRed(tx, r.left.Load(tx)) {
-		h = moveRedRight(tx, h)
-		r = h.right.Load(tx)
-	}
-	if key == h.key {
-		// Replace with the successor's key/value; keys are immutable per
-		// node, so graft a fresh node keeping the children and color
-		// cells' contents.
-		succ := minNode(tx, r)
-		h = m.makeNode(succ.key, succ.val.Load(tx), h.left.Load(tx), deleteMin(tx, r), isRed(tx, h))
-	} else {
-		relink(tx, &h.right, r, m.remove(tx, r, key))
-	}
-	return fixUp(tx, h)
 }
 
-// LenTx counts the bindings inside the caller's transaction.
+// LenTx counts the bindings inside the caller's transaction. It reads the
+// node cells only, so it never conflicts with an overwrite.
 func (m *TreeMapOf[V]) LenTx(tx *core.Tx) int {
+	return count(tx, m.root.Load(tx))
+}
+
+func count[V any](tx *core.Tx, b *block[V]) int {
+	if b.leaf {
+		return b.n
+	}
 	n := 0
-	m.AscendTx(tx, func(int, V) bool { n++; return true })
+	for i := 0; i < b.n; i++ {
+		n += count(tx, b.kids[i].Load(tx))
+	}
 	return n
 }
 
 // AscendTx visits bindings in ascending key order inside the caller's
 // transaction, stopping when fn returns false.
 func (m *TreeMapOf[V]) AscendTx(tx *core.Tx, fn func(key int, val V) bool) {
-	var walk func(h *tnode[V]) bool
-	walk = func(h *tnode[V]) bool {
-		if h == nil {
-			return true
-		}
-		if !walk(h.left.Load(tx)) {
-			return false
-		}
-		if !fn(h.key, h.val.Load(tx)) {
-			return false
-		}
-		return walk(h.right.Load(tx))
-	}
-	walk(m.root.Load(tx))
+	m.RangeTx(tx, math.MinInt, math.MaxInt, fn)
 }
 
 // RangeTx visits bindings with lo <= key <= hi ascending inside the
-// caller's transaction, pruning subtrees outside the range. Under
+// caller's transaction. It descends from lo and walks the children in
+// order, loading a node only while its keys can still be <= hi. Under
 // Snapshot semantics this is a consistent range query over a live tree.
+// The leaves have no sibling links: under copy-on-write a link would make
+// every leaf split write its predecessor too.
 func (m *TreeMapOf[V]) RangeTx(tx *core.Tx, lo, hi int, fn func(key int, val V) bool) {
-	var walk func(h *tnode[V]) bool
-	walk = func(h *tnode[V]) bool {
-		if h == nil {
-			return true
-		}
-		if h.key > lo {
-			if !walk(h.left.Load(tx)) {
+	if lo <= hi {
+		walkRange(tx, m.root.Load(tx), lo, hi, fn)
+	}
+}
+
+// walkRange visits the bindings in [lo, hi] under b; it reports false once
+// the walk is over (fn said stop, or a key passed hi).
+func walkRange[V any](tx *core.Tx, b *block[V], lo, hi int, fn func(int, V) bool) bool {
+	if b.leaf {
+		for i := b.lowerBound(lo); i < b.n; i++ {
+			if b.keys[i] > hi || !fn(b.keys[i], b.vals[i].Load(tx)) {
 				return false
 			}
-		}
-		if h.key >= lo && h.key <= hi {
-			if !fn(h.key, h.val.Load(tx)) {
-				return false
-			}
-		}
-		if h.key < hi {
-			return walk(h.right.Load(tx))
 		}
 		return true
 	}
-	walk(m.root.Load(tx))
+	for i := b.childFor(lo); i < b.n; i++ {
+		if !walkRange(tx, b.kids[i].Load(tx), lo, hi, fn) {
+			return false
+		}
+		if i+1 < b.n && b.keys[i+1] > hi {
+			return false
+		}
+	}
+	return true
 }
 
 // Range returns the keys in [lo, hi] as one atomic snapshot.
@@ -398,17 +393,25 @@ func (m *TreeMapOf[V]) Len() (int, error) {
 
 // Keys returns all keys ascending as one atomic snapshot.
 func (m *TreeMapOf[V]) Keys() ([]int, error) {
-	var out []int
+	return m.Range(math.MinInt, math.MaxInt)
+}
+
+// Height returns the number of node levels, the leaves included, under the
+// read-only semantics.
+func (m *TreeMapOf[V]) Height() (int, error) {
+	h := 0
 	err := m.tm.Atomically(m.sizeSem, func(tx *core.Tx) error {
-		out = out[:0]
-		m.AscendTx(tx, func(k int, _ V) bool {
-			out = append(out, k)
-			return true
-		})
+		h = 1
+		for b := m.root.Load(tx); !b.leaf; b = b.kids[0].Load(tx) {
+			h++
+		}
 		return nil
 	})
-	return out, err
+	return h, err
 }
+
+// Splits returns how many node splits committed transactions have made.
+func (m *TreeMapOf[V]) Splits() int64 { return m.splits.Load() }
 
 // SnapshotRange visits bindings with lo <= key <= hi in ascending order at
 // the pin's version: one consistent cut of the map, regardless of how many
@@ -443,63 +446,126 @@ func (m *TreeMapOf[V]) SnapshotAscend(p *core.SnapshotPin, fn func(key int, val 
 }
 
 // ReplaceAllTx replaces the map's entire contents with the given bindings
-// (keys ascending, vals parallel) inside the caller's transaction. The new
-// tree is built copy-on-write from fresh nodes — no node of the old tree
-// is mutated — so concurrent snapshot readers pinned to an older version
-// keep iterating the old tree untouched, and the only contended location
-// of the swap itself is the root cell. This is the restore half of the
-// persistent-map layer.
+// (keys strictly ascending, vals parallel) inside the caller's
+// transaction. The new tree is built bottom-up from fresh cells with full
+// nodes — no node of the old tree is touched — so concurrent snapshot
+// readers pinned to an older version keep iterating the old tree, and the
+// swap itself stores only the root cell. That is also why an Elastic
+// writer racing the swap can land in the discarded tree: its window need
+// not hold the root. Writers that may race a ReplaceAllTx run Classic,
+// as Put does. This is the restore half of the persistent-map layer.
 func (m *TreeMapOf[V]) ReplaceAllTx(tx *core.Tx, keys []int, vals []V) {
 	if len(keys) != len(vals) {
 		panic("txstruct: ReplaceAllTx keys/vals length mismatch")
 	}
-	m.root.Store(tx, nil)
-	for i := range keys {
-		m.PutTx(tx, keys[i], vals[i])
+	// level holds one tree level's blocks, mins their smallest keys.
+	var level []*block[V]
+	var mins []int
+	for i, k := range keys {
+		if i > 0 && k <= keys[i-1] {
+			panic("txstruct: ReplaceAllTx keys not strictly ascending")
+		}
+		if i%TreeFanout == 0 {
+			level = append(level, &block[V]{leaf: true})
+			mins = append(mins, k)
+		}
+		b := level[len(level)-1]
+		b.keys[b.n], b.vals[b.n] = k, core.NewTypedCell(m.tm, vals[i])
+		b.n++
 	}
+	for len(level) > 1 {
+		var up []*block[V]
+		var upMins []int
+		for i, b := range level {
+			if i%TreeFanout == 0 {
+				up = append(up, &block[V]{})
+				upMins = append(upMins, mins[i])
+			}
+			p := up[len(up)-1]
+			p.keys[p.n], p.kids[p.n] = mins[i], core.NewTypedCell(m.tm, b)
+			p.n++
+		}
+		level, mins = up, upMins
+	}
+	if len(level) == 0 {
+		level = append(level, &block[V]{leaf: true})
+	}
+	m.root.Store(tx, level[0])
 }
 
-// checkInvariants verifies red-black invariants inside tx: no red right
-// links, no consecutive red left links, equal black height on all paths.
-// It returns the black height. Used by the tests.
+// checkInvariants verifies the B+-tree shape inside tx: keys strictly
+// ascending within each block, every key inside the bounds its parent's
+// separators set, every leaf at the same depth, no empty node but a leaf
+// root, no inner root with one child, and n <= B. It returns the height.
+// Used by the tests.
 func (m *TreeMapOf[V]) checkInvariants(tx *core.Tx) (int, error) {
-	var walk func(h *tnode[V]) (int, error)
-	walk = func(h *tnode[V]) (int, error) {
-		if h == nil {
-			return 1, nil
-		}
-		l, r := h.left.Load(tx), h.right.Load(tx)
-		if isRed(tx, r) {
-			return 0, fmt.Errorf("key %d: red right link", h.key)
-		}
-		if isRed(tx, h) && isRed(tx, l) {
-			return 0, fmt.Errorf("key %d: two red links in a row", h.key)
-		}
-		if l != nil && l.key >= h.key {
-			return 0, fmt.Errorf("key %d: left child %d out of order", h.key, l.key)
-		}
-		if r != nil && r.key <= h.key {
-			return 0, fmt.Errorf("key %d: right child %d out of order", h.key, r.key)
-		}
-		lb, err := walk(l)
-		if err != nil {
-			return 0, err
-		}
-		rb, err := walk(r)
-		if err != nil {
-			return 0, err
-		}
-		if lb != rb {
-			return 0, fmt.Errorf("key %d: black height %d vs %d", h.key, lb, rb)
-		}
-		if !isRed(tx, h) {
-			lb++
-		}
-		return lb, nil
-	}
 	root := m.root.Load(tx)
-	if isRed(tx, root) {
-		return 0, fmt.Errorf("red root")
+	if root == nil {
+		return 0, fmt.Errorf("nil root block")
 	}
-	return walk(root)
+	if !root.leaf && root.n < 2 {
+		return 0, fmt.Errorf("inner root with %d child(ren)", root.n)
+	}
+	leafDepth := 0
+	// walk checks b at depth d, whose keys lie in [lo, hi) — or [lo, +inf)
+	// when open.
+	var walk func(b *block[V], d, lo, hi int, open bool) error
+	walk = func(b *block[V], d, lo, hi int, open bool) error {
+		if b == nil {
+			return fmt.Errorf("depth %d: nil block", d)
+		}
+		if b.n < 0 || b.n > TreeFanout {
+			return fmt.Errorf("depth %d: %d entries, want 1..%d", d, b.n, TreeFanout)
+		}
+		if b.n == 0 && b != root {
+			return fmt.Errorf("depth %d: empty non-root node", d)
+		}
+		first := 0
+		if !b.leaf {
+			first = 1 // keys[0] of an inner block is never read
+		}
+		for i := first; i < b.n; i++ {
+			k := b.keys[i]
+			if i > first && k <= b.keys[i-1] {
+				return fmt.Errorf("depth %d: key %d after %d", d, k, b.keys[i-1])
+			}
+			if k < lo || (!open && k >= hi) {
+				return fmt.Errorf("depth %d: key %d outside its separators [%d, %d) (open %v)", d, k, lo, hi, open)
+			}
+		}
+		if b.leaf {
+			for i := 0; i < b.n; i++ {
+				if b.vals[i] == nil || b.kids[i] != nil {
+					return fmt.Errorf("depth %d: leaf entry %d holds a child or no value cell", d, i)
+				}
+			}
+			if leafDepth == 0 {
+				leafDepth = d
+			}
+			if d != leafDepth {
+				return fmt.Errorf("leaf at depth %d, another at %d", d, leafDepth)
+			}
+			return nil
+		}
+		for i := 0; i < b.n; i++ {
+			if b.kids[i] == nil || b.vals[i] != nil {
+				return fmt.Errorf("depth %d: inner entry %d holds a value or no child", d, i)
+			}
+			clo, chi, copen := lo, hi, open
+			if i > 0 {
+				clo = b.keys[i]
+			}
+			if i+1 < b.n {
+				chi, copen = b.keys[i+1], false
+			}
+			if err := walk(b.kids[i].Load(tx), d+1, clo, chi, copen); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := walk(root, 1, math.MinInt, 0, true); err != nil {
+		return 0, err
+	}
+	return leafDepth, nil
 }

@@ -12,30 +12,25 @@ import (
 // stores to a cell only when it changes it, so its cost and its conflicts
 // follow what it changes, not the depth of the tree.
 
-// pathVersions reports the commit version of every cell a search for key
-// passes — the root cell, then per node on the path its colour and the
-// link followed — and, separately, of key's value cell.
+// pathVersions reports the commit version of every node cell a search for
+// key passes — the root cell, then one per level down to the leaf — and,
+// separately, of key's value cell.
 func pathVersions(t *testing.T, tm *core.TM, m *TreeMapOf[int], key int) (path []uint64, val uint64) {
 	t.Helper()
 	err := tm.Atomically(core.Classic, func(tx *core.Tx) error {
 		path = path[:0]
-		n, ver := m.root.LoadVersioned(tx)
+		b, ver := m.root.LoadVersioned(tx)
 		path = append(path, ver)
-		for n != nil {
-			_, ver = n.red.LoadVersioned(tx)
-			path = append(path, ver)
-			link := &n.left
-			switch {
-			case key > n.key:
-				link = &n.right
-			case key == n.key:
-				_, val = n.val.LoadVersioned(tx)
-				return nil
-			}
-			n, ver = link.LoadVersioned(tx)
+		for !b.leaf {
+			b, ver = b.kids[b.childFor(key)].LoadVersioned(tx)
 			path = append(path, ver)
 		}
-		t.Errorf("key %d is not bound", key)
+		i := b.lowerBound(key)
+		if i == b.n || b.keys[i] != key {
+			t.Errorf("key %d is not bound", key)
+			return nil
+		}
+		_, val = b.vals[i].LoadVersioned(tx)
 		return nil
 	})
 	if err != nil {
@@ -96,20 +91,30 @@ func (c *installCounter) Record(ev core.Event) {
 	}
 }
 
+// TestTreeMapInsertInstallsAConstantNumberOfCells: an insert installs
+// the leaf's cell and, per split, the parent's — at most height + 2
+// cells, whatever the map's size — and an overwrite exactly one.
 func TestTreeMapInsertInstallsAConstantNumberOfCells(t *testing.T) {
 	counter := &installCounter{pending: make(map[uint64]struct{})}
 	tm := core.New(core.WithRecorder(counter))
 	m := NewTreeMapOf[int](tm, 0)
 	const n = 64 << 10
+	most := 0
 	for _, k := range rand.New(rand.NewSource(2)).Perm(n) {
+		before := counter.installed
 		if inserted, err := m.Put(k, k); err != nil || !inserted {
 			t.Fatalf("insert of %d: inserted=%v err=%v", k, inserted, err)
 		}
+		most = max(most, counter.installed-before)
 	}
-	mean := float64(counter.installed) / n
-	t.Logf("%.2f cells installed per insert", mean)
-	if mean > 8 {
-		t.Fatalf("an insert installs %.2f cells on average, want at most 8", mean)
+	h, err := m.Height()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%.2f cells installed per insert, at most %d, height %d, %d splits",
+		float64(counter.installed)/n, most, h, m.Splits())
+	if most > h+2 {
+		t.Fatalf("an insert installed %d cells, want at most height %d + 2", most, h)
 	}
 
 	// An overwrite installs exactly one.
@@ -125,7 +130,7 @@ func TestTreeMapInsertInstallsAConstantNumberOfCells(t *testing.T) {
 }
 
 // TestTreeMapRandomOpsKeepInvariants drives a random put / overwrite /
-// delete sequence against a map model, checking the red-black invariants
+// delete sequence against a map model, checking the B+-tree invariants
 // and the full contents after every operation — once with each operation
 // its own Classic transaction, once with each inside a caller's Elastic
 // transaction.
