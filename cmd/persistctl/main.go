@@ -1,18 +1,16 @@
-// Command persistctl inspects and maintains persistmap backup chains and
-// write-ahead logs from outside the process that wrote them — the
-// operational face of the durable persistence pipeline. Chains and WAL
-// segments are self-describing (magic, format version, codec name, CRC32)
-// and their record framing is codec-agnostic, so no subcommand needs
-// knowledge of the value type: info and verify read headers and framing
-// only, and compact folds the chain with records carried as opaque bytes
-// — lossless for every codec, built-in or custom.
+// Command persistctl inspects and maintains persistmap full checkpoints
+// and write-ahead logs from outside the process that wrote them — the
+// operational face of the durable persistence pipeline. Checkpoints and
+// WAL segments are self-describing (magic, format version, codec name,
+// CRC32) and their record framing is codec-agnostic, so no subcommand
+// needs knowledge of the value type: info and verify read headers and
+// framing only.
 //
 // Usage:
 //
-//	persistctl info   <file|dir>...   headers + chain resolution + WAL segments, checksums verified
+//	persistctl info   <file|dir>...   newest intact full + WAL segments, checksums verified
 //	persistctl verify <file|dir>...   full structural walk of every record (.pmb and .wal)
-//	persistctl compact <dir>          fold the newest chain into one full backup
-//	persistctl clean   <dir>...       remove orphaned checkpoint temp files (.pmb.tmp)
+//	persistctl clean  <dir>...        remove orphaned checkpoint temp files (.pmb.tmp)
 //
 // Exit codes classify what was found, so scripts can branch on damage
 // severity without parsing output:
@@ -22,7 +20,8 @@
 //	   a record cut off by end of file. The legal residue of a power cut
 //	   or poisoned WAL daemon; recovery replays the intact prefix.
 //	2  corrupt — full-length bytes failing their checksum or structure
-//	   (a bit flip, never a legal crash shape), or an unresolvable chain.
+//	   (a bit flip, never a legal crash shape), or a checkpoint file this
+//	   build does not read (an older build's incremental diff).
 //	3  operational error — bad usage, missing path, I/O failure.
 //
 // info and verify keep walking after damage and report everything they
@@ -36,7 +35,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"repro/internal/persistmap"
@@ -102,7 +100,7 @@ func (d *damage) result() (int, error) {
 
 func run(args []string, out io.Writer) (int, error) {
 	if len(args) < 1 {
-		return exitUsage, fmt.Errorf("usage: persistctl info|verify|compact|clean <path>... (exit: 0 clean, 1 torn tail, 2 corrupt, 3 error)")
+		return exitUsage, fmt.Errorf("usage: persistctl info|verify|clean <path>... (exit: 0 clean, 1 torn tail, 2 corrupt, 3 error)")
 	}
 	cmd, paths := args[0], args[1:]
 	if len(paths) == 0 {
@@ -115,7 +113,7 @@ func run(args []string, out io.Writer) (int, error) {
 			infoFile(out, path, &dmg)
 			return nil
 		}, func(dir string) error {
-			return chainInfo(out, dir, &dmg)
+			return dirInfo(out, dir, &dmg)
 		})
 		if err != nil {
 			return exitUsage, err
@@ -134,18 +132,6 @@ func run(args []string, out io.Writer) (int, error) {
 		}
 		fmt.Fprintf(out, "%d file(s) verified, %d torn, %d corrupt\n", n, dmg.torn, dmg.corrupt)
 		return dmg.result()
-	case "compact":
-		for _, dir := range paths {
-			path, err := persistmap.CompactDir(dir)
-			if err != nil {
-				if errors.Is(err, persistmap.ErrCorrupt) {
-					return exitCorrupt, err
-				}
-				return exitUsage, err
-			}
-			fmt.Fprintf(out, "%s: compacted to %s\n", dir, filepath.Base(path))
-		}
-		return exitOK, nil
 	case "clean":
 		removed := 0
 		for _, dir := range paths {
@@ -164,7 +150,7 @@ func run(args []string, out io.Writer) (int, error) {
 		fmt.Fprintf(out, "%d orphaned temp file(s) removed\n", removed)
 		return exitOK, nil
 	default:
-		return exitUsage, fmt.Errorf("unknown command %q (want info, verify, compact or clean)", cmd)
+		return exitUsage, fmt.Errorf("unknown command %q (want info, verify or clean)", cmd)
 	}
 }
 
@@ -217,9 +203,10 @@ func verifyFile(out io.Writer, path string, dmg *damage) {
 	fmt.Fprintf(out, "%s: ok (%s)\n", path, info)
 }
 
-// forEachFile applies file to every chain file named by paths, expanding
-// directories. onDir, when set, replaces per-file handling for directory
-// arguments (info prints the resolved chain instead of a flat listing).
+// forEachFile applies file to every checkpoint and WAL file named by
+// paths, expanding directories. onDir, when set, replaces per-file
+// handling for directory arguments (info prints what recovery would read
+// instead of a flat listing).
 func forEachFile(paths []string, file func(string) error, onDir func(string) error) error {
 	for _, p := range paths {
 		st, err := os.Stat(p)
@@ -247,7 +234,7 @@ func forEachFile(paths []string, file func(string) error, onDir func(string) err
 			return err
 		}
 		if len(infos) == 0 && len(corrupt) == 0 && len(segs) == 0 {
-			return fmt.Errorf("%s: no chain or wal files", p)
+			return fmt.Errorf("%s: no checkpoint or wal files", p)
 		}
 		for _, fi := range infos {
 			if err := file(fi.Path); err != nil {
@@ -268,11 +255,12 @@ func forEachFile(paths []string, file func(string) error, onDir func(string) err
 	return nil
 }
 
-// chainInfo prints every chain file in dir plus the resolved newest chain,
-// then any WAL segments ordering past the chain's end, then orphaned temp
-// files. Damaged files are reported in place; resolution runs over the
-// readable ones (the same fallback Replay uses).
-func chainInfo(out io.Writer, dir string, dmg *damage) error {
+// dirInfo prints what recovery would read from dir: the newest intact
+// full checkpoint, then the WAL segments, then orphaned temp files.
+// Damaged checkpoint files are reported and count toward the exit code;
+// the newest full is picked among the intact ones (the same fallback
+// Replay uses).
+func dirInfo(out io.Writer, dir string, dmg *damage) error {
 	infos, corrupt, err := persistmap.ScanLax(dir)
 	if err != nil {
 		return err
@@ -282,28 +270,15 @@ func chainInfo(out io.Writer, dir string, dmg *damage) error {
 		return err
 	}
 	if len(infos) == 0 && len(corrupt) == 0 && len(segs) == 0 {
-		return fmt.Errorf("%s: no chain or wal files", dir)
+		return fmt.Errorf("%s: no checkpoint or wal files", dir)
 	}
-	for _, fi := range infos {
+	if len(infos) > 0 {
+		fi := infos[len(infos)-1]
 		fmt.Fprintf(out, "%s: %s\n", fi.Path, fi)
 	}
 	for _, cf := range corrupt {
 		dmg.add(persistmap.DamageCorrupt)
 		fmt.Fprintf(out, "%s: corrupt: %v\n", cf.Path, cf.Err)
-	}
-	if len(infos) > 0 {
-		chain, err := persistmap.ResolveChain(infos)
-		if err != nil {
-			dmg.corrupt++
-			fmt.Fprintf(out, "chain: UNRESOLVABLE: %v\n", err)
-		} else {
-			names := make([]string, len(chain))
-			for i, fi := range chain {
-				names[i] = filepath.Base(fi.Path)
-			}
-			fmt.Fprintf(out, "chain: %s (ends at version %d, %d link(s))\n",
-				strings.Join(names, " → "), chain[len(chain)-1].Version, len(chain))
-		}
 	}
 	for _, sg := range segs {
 		wi, err := persistmap.ReadWALInfo(sg.Path)

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -21,9 +23,10 @@ func mustRun(t *testing.T, args []string, out *strings.Builder) {
 	}
 }
 
-// writeChain builds a real full+2-diff chain in dir and returns the final
-// expected state.
-func writeChain(t *testing.T, dir string) map[int]int {
+// writeCheckpoints runs two checkpoint cycles over a live map in dir —
+// two full checkpoints, the older one left in place — and returns the
+// state the newer one holds.
+func writeCheckpoints(t *testing.T, dir string) map[int]int {
 	t.Helper()
 	tm := core.New()
 	m := persistmap.New[int](tm)
@@ -36,101 +39,65 @@ func writeChain(t *testing.T, dir string) map[int]int {
 			t.Fatal(err)
 		}
 	}
-	pin, err := tm.PinSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := m.BackupAt(pin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.WriteFull(b); err != nil {
-		t.Fatal(err)
-	}
+	var b *persistmap.Backup[int]
 	for step := 0; step < 2; step++ {
-		if _, err := m.Put(100+step, step); err != nil {
+		if step > 0 {
+			if _, err := m.Put(100, step); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.Delete(step); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if b, err = m.Backup(); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := m.Delete(step); err != nil {
+		if _, err := s.WriteFull(b); err != nil {
 			t.Fatal(err)
 		}
-		next, err := tm.PinSnapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, err := m.Diff(pin, next)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.WriteDiff(d); err != nil {
-			t.Fatal(err)
-		}
-		pin.Release()
-		pin = next
 	}
-	pin.Release()
 	want := make(map[int]int)
-	if err := tm.Atomically(core.Snapshot, func(tx *core.Tx) error {
-		clear(want)
-		m.Tree().AscendTx(tx, func(k, v int) bool {
-			want[k] = v
-			return true
-		})
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+	b.Ascend(func(k, v int) bool {
+		want[k] = v
+		return true
+	})
 	return want
 }
 
-func TestInfoVerifyCompact(t *testing.T) {
+func TestInfoVerify(t *testing.T) {
 	dir := t.TempDir()
-	want := writeChain(t, dir)
-
-	var out strings.Builder
-	mustRun(t, []string{"info", dir}, &out)
-	for _, frag := range []string{"full", "diff", "chain:", "codec=int"} {
-		if !strings.Contains(out.String(), frag) {
-			t.Fatalf("info output lacks %q:\n%s", frag, out.String())
-		}
-	}
-
-	out.Reset()
-	mustRun(t, []string{"verify", dir}, &out)
-	if !strings.Contains(out.String(), "3 file(s) verified") {
-		t.Fatalf("verify output:\n%s", out.String())
-	}
-
-	out.Reset()
-	mustRun(t, []string{"compact", dir}, &out)
+	want := writeCheckpoints(t, dir)
 	infos, err := persistmap.Scan(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(infos) != 1 || infos[0].Kind != persistmap.FileFull {
-		t.Fatalf("after compact: %v", infos)
+	if len(infos) != 2 {
+		t.Fatalf("scan found %d checkpoints, want 2", len(infos))
 	}
-	s, err := persistmap.NewStore(dir, persistmap.IntCodec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := s.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Len() != len(want) {
-		t.Fatalf("compacted chain has %d bindings, want %d", b.Len(), len(want))
-	}
-	for k, v := range want {
-		if gv, ok := b.Get(k); !ok || gv != v {
-			t.Fatalf("compacted key %d = (%d,%v), want (%d,true)", k, gv, ok, v)
+
+	// info names the newest full only, with its record count.
+	var out strings.Builder
+	mustRun(t, []string{"info", dir}, &out)
+	newest := fmt.Sprintf("version %d codec=int records=%d", infos[1].Version, len(want))
+	for _, frag := range []string{filepath.Base(infos[1].Path), "full", newest} {
+		if !strings.Contains(out.String(), frag) {
+			t.Fatalf("info output lacks %q:\n%s", frag, out.String())
 		}
+	}
+	if strings.Contains(out.String(), filepath.Base(infos[0].Path)) {
+		t.Fatalf("info lists the superseded full:\n%s", out.String())
+	}
+
+	out.Reset()
+	mustRun(t, []string{"verify", dir}, &out)
+	if !strings.Contains(out.String(), "2 file(s) verified") {
+		t.Fatalf("verify output:\n%s", out.String())
 	}
 }
 
 func TestVerifyRejectsCorruption(t *testing.T) {
 	dir := t.TempDir()
-	writeChain(t, dir)
+	writeCheckpoints(t, dir)
 	infos, err := persistmap.Scan(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -148,17 +115,58 @@ func TestVerifyRejectsCorruption(t *testing.T) {
 	if code, _ := run([]string{"verify", filepath.Clean(victim)}, &out); code != exitCorrupt {
 		t.Fatalf("verify of a bit-flipped file: code %d, want %d:\n%s", code, exitCorrupt, out.String())
 	}
-	// info keeps rendering the directory — resolution falls back around
-	// the damaged diff — but the exit code must still say corrupt.
+	// info keeps rendering the directory — it falls back to the older
+	// intact full — but the exit code must still say corrupt.
 	out.Reset()
 	if code, _ := run([]string{"info", dir}, &out); code != exitCorrupt {
 		t.Fatalf("info on a dir with a bit-flipped file: code %d, want %d:\n%s", code, exitCorrupt, out.String())
 	}
-	if !strings.Contains(out.String(), "corrupt") {
-		t.Fatalf("info does not name the damage:\n%s", out.String())
+	if !strings.Contains(out.String(), "corrupt") || !strings.Contains(out.String(), filepath.Base(infos[0].Path)) {
+		t.Fatalf("info does not name the damage and the intact full:\n%s", out.String())
 	}
-	if code, err := run([]string{"compact", dir}, &out); code != exitCorrupt || err == nil {
-		t.Fatalf("compact on a dir with a bit-flipped diff: code %d (err %v), want %d", code, err, exitCorrupt)
+}
+
+// TestVerifyRejectsDiffFile: an incremental-diff file (kind 2) an older
+// build wrote beside its fulls is corrupt to this build — verify exits 2
+// on it — while info still names the intact full.
+func TestVerifyRejectsDiffFile(t *testing.T) {
+	dir := t.TempDir()
+	writeCheckpoints(t, dir)
+	infos, err := persistmap.Scan(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := infos[len(infos)-1]
+	// The older build's layout: the full's header with kind 2 and a
+	// parent, then { kind, key, len, value } records and the CRC.
+	buf := append([]byte("repromap"), 1, 0, 2, 3)
+	buf = append(buf, "int"...)
+	buf = binary.LittleEndian.AppendUint64(buf, full.Version+1)
+	buf = binary.LittleEndian.AppendUint64(buf, full.Version)
+	buf = binary.LittleEndian.AppendUint64(buf, 1)
+	buf = append(buf, 2)
+	buf = binary.LittleEndian.AppendUint64(buf, 100)
+	buf = binary.LittleEndian.AppendUint32(buf, 8)
+	buf = binary.LittleEndian.AppendUint64(buf, 7)
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+	diff := filepath.Join(dir, fmt.Sprintf("diff-%016x-%016x.pmb", full.Version, full.Version+1))
+	if err := os.WriteFile(diff, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var out strings.Builder
+	for _, target := range []string{diff, dir} {
+		out.Reset()
+		if code, _ := run([]string{"verify", target}, &out); code != exitCorrupt {
+			t.Fatalf("verify %s: code %d, want %d:\n%s", target, code, exitCorrupt, out.String())
+		}
+	}
+	out.Reset()
+	if code, _ := run([]string{"info", dir}, &out); code != exitCorrupt {
+		t.Fatalf("info beside a diff file: code %d, want %d:\n%s", code, exitCorrupt, out.String())
+	}
+	if !strings.Contains(out.String(), filepath.Base(full.Path)) || !strings.Contains(out.String(), "unknown file kind 2") {
+		t.Fatalf("info does not name the intact full and the rejected diff:\n%s", out.String())
 	}
 }
 
@@ -191,13 +199,13 @@ func writeWAL(t *testing.T, dir string) {
 }
 
 // TestWALInfoVerify covers the tool's write-ahead-log face: info and
-// verify must pick up .wal segments alongside the chain, a WAL-only
+// verify must pick up .wal segments alongside the checkpoints, a WAL-only
 // directory is not an error, and a bit-flipped sealed segment is
 // classified corrupt (exit 2) by both — full-length damage is never the
 // torn shape.
 func TestWALInfoVerify(t *testing.T) {
 	dir := t.TempDir()
-	writeChain(t, dir)
+	writeCheckpoints(t, dir)
 	writeWAL(t, dir)
 	segs, err := walsync.ScanSegments(dir)
 	if err != nil {
@@ -209,7 +217,7 @@ func TestWALInfoVerify(t *testing.T) {
 
 	var out strings.Builder
 	mustRun(t, []string{"info", dir}, &out)
-	for _, frag := range []string{"chain:", "wal seq", "codec=int"} {
+	for _, frag := range []string{"full", "wal seq", "codec=int"} {
 		if !strings.Contains(out.String(), frag) {
 			t.Fatalf("info output lacks %q:\n%s", frag, out.String())
 		}
@@ -217,7 +225,7 @@ func TestWALInfoVerify(t *testing.T) {
 
 	out.Reset()
 	mustRun(t, []string{"verify", dir}, &out)
-	want := fmt.Sprintf("%d file(s) verified", 3+len(segs))
+	want := fmt.Sprintf("%d file(s) verified", 2+len(segs))
 	if !strings.Contains(out.String(), want) {
 		t.Fatalf("verify output lacks %q:\n%s", want, out.String())
 	}
@@ -227,8 +235,8 @@ func TestWALInfoVerify(t *testing.T) {
 	writeWAL(t, walOnly)
 	out.Reset()
 	mustRun(t, []string{"info", walOnly}, &out)
-	if strings.Contains(out.String(), "chain:") {
-		t.Fatalf("wal-only dir claims a chain:\n%s", out.String())
+	if strings.Contains(out.String(), ".pmb") {
+		t.Fatalf("wal-only dir claims a checkpoint:\n%s", out.String())
 	}
 
 	// Flip a byte inside the oldest sealed segment: full-length damage,
@@ -262,7 +270,7 @@ func TestExitCodeTable(t *testing.T) {
 	build := func(t *testing.T, torn, corrupt bool) string {
 		t.Helper()
 		dir := t.TempDir()
-		writeChain(t, dir)
+		writeCheckpoints(t, dir)
 		writeWAL(t, dir)
 		segs, err := walsync.ScanSegments(dir)
 		if err != nil {
@@ -325,10 +333,10 @@ func TestExitCodeTable(t *testing.T) {
 }
 
 // TestCleanRemovesOrphans: an interrupted checkpoint's temp file is
-// reported by info and removed by clean; the chain is untouched.
+// reported by info and removed by clean; the checkpoints are untouched.
 func TestCleanRemovesOrphans(t *testing.T) {
 	dir := t.TempDir()
-	writeChain(t, dir)
+	writeCheckpoints(t, dir)
 	orphan := filepath.Join(dir, "zz-interrupted.pmb.tmp")
 	if err := os.WriteFile(orphan, []byte("half a checkpoint"), 0o644); err != nil {
 		t.Fatal(err)
@@ -348,7 +356,7 @@ func TestCleanRemovesOrphans(t *testing.T) {
 	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
 		t.Fatalf("orphan still present after clean (stat err %v)", err)
 	}
-	// Idempotent, and the chain still loads.
+	// Idempotent, and the checkpoints still verify.
 	out.Reset()
 	mustRun(t, []string{"clean", dir}, &out)
 	if !strings.Contains(out.String(), "0 orphaned temp file(s) removed") {

@@ -358,7 +358,6 @@ func TestMisusePanics(t *testing.T) {
 		{"Load/nil cell", "core: Load of nil cell", inTx(func(tx *Tx) { nilCell.Load(tx) })},
 		{"Store/nil cell", "core: Store to nil cell", inTx(func(tx *Tx) { nilCell.Store(tx, 1) })},
 		{"StoreFinal/nil cell", "core: StoreFinal to nil cell", inTx(func(tx *Tx) { nilCell.StoreFinal(tx, 1) })},
-		{"LoadVersioned/nil cell", "core: LoadVersioned of nil cell", inTx(func(tx *Tx) { nilCell.LoadVersioned(tx) })},
 		{"Load/stale handle", stale, func() { c.Load(keep()) }},
 		{"Store/stale handle", stale, func() { c.Store(keep(), 1) }},
 	} {

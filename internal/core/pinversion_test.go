@@ -5,8 +5,9 @@ import "testing"
 // TestPinVersionsOrderAcrossCommit is the Version() contract test: two
 // pins taken across a commit order correctly — strictly, since the commit
 // advanced the clock between them — and each pin reads the state of its
-// own instant. The ordering is what lets a backup chain be sequenced by
-// pin version alone, without reaching into any backup payload.
+// own instant. The ordering is what lets checkpoints, and the WAL
+// records they supersede, be sequenced by pin version alone, without
+// reaching into any checkpoint payload.
 func TestPinVersionsOrderAcrossCommit(t *testing.T) {
 	tm := New()
 	c := NewTypedCell(tm, 100)
@@ -58,77 +59,5 @@ func TestPinVersionsOrderAcrossCommit(t *testing.T) {
 	defer p3.Release()
 	if p3.Version() < p2.Version() {
 		t.Fatalf("later pin ordered below earlier one: %d then %d", p2.Version(), p3.Version())
-	}
-}
-
-// TestLoadVersionedReportsRecordVersion pins the MVCC change-detection
-// contract of LoadVersioned: a cell's initial value reports version 0, an
-// overwrite committed between two pins reports a version above the older
-// pin's and at most the newer pin's, and a buffered write reports
-// VersionPending.
-func TestLoadVersionedReportsRecordVersion(t *testing.T) {
-	tm := New()
-	c := NewTypedCell(tm, 7)
-
-	p1, err := tm.PinSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p1.Release()
-
-	readAt := func(p *SnapshotPin) (int, uint64) {
-		var v int
-		var ver uint64
-		if err := p.Atomically(func(tx *Tx) error {
-			v, ver = c.LoadVersioned(tx)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return v, ver
-	}
-
-	if v, ver := readAt(p1); v != 7 || ver != 0 {
-		t.Fatalf("initial record = (%d,%d), want (7,0)", v, ver)
-	}
-
-	if err := tm.Atomically(Classic, func(tx *Tx) error {
-		c.Store(tx, 8)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	p2, err := tm.PinSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p2.Release()
-
-	// The old pin still resolves the version-0 record; the new pin sees
-	// the overwrite, stamped strictly after the old pin's version.
-	if v, ver := readAt(p1); v != 7 || ver != 0 {
-		t.Fatalf("old pin record = (%d,%d), want (7,0)", v, ver)
-	}
-	v, ver := readAt(p2)
-	if v != 8 {
-		t.Fatalf("new pin read %d, want 8", v)
-	}
-	if ver <= p1.Version() || ver > p2.Version() {
-		t.Fatalf("overwrite version %d not in (%d,%d]", ver, p1.Version(), p2.Version())
-	}
-
-	// Classic reads report the validated version; buffered writes report
-	// VersionPending.
-	if err := tm.Atomically(Classic, func(tx *Tx) error {
-		if _, got := c.LoadVersioned(tx); got != ver {
-			t.Errorf("classic LoadVersioned = %d, want %d", got, ver)
-		}
-		c.Store(tx, 9)
-		if bv, got := c.LoadVersioned(tx); got != VersionPending || bv != 9 {
-			t.Errorf("buffered LoadVersioned = (%d,%d), want (9,VersionPending)", bv, got)
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -216,16 +216,6 @@ func (tx *Tx) pushWindow(c *cell, ver uint64) {
 // reading under the lock could tear a commit), but never abort them. A
 // pinned read skips the wait on a cell already past the pin.
 func (tx *Tx) readSnapshot(c *cell) vbox {
-	v, _ := tx.readSnapshotVer(c)
-	return v
-}
-
-// readSnapshotVer is readSnapshot additionally reporting the commit version
-// of the record the read observed — the substrate of version-aware snapshot
-// iteration (txstruct's pin-to-pin diff classifies a binding as changed by
-// comparing this version against the older pin's version, no value equality
-// needed).
-func (tx *Tx) readSnapshotVer(c *cell) (vbox, uint64) {
 	var (
 		ver, cur uint64
 		v        vbox
@@ -255,51 +245,5 @@ func (tx *Tx) readSnapshotVer(c *cell) (vbox, uint64) {
 		tx.record(Event{Kind: EventRead, TxID: tx.id.Load(), Attempt: tx.attempt,
 			Sem: tx.sem, Cell: c.id, Version: ver})
 	}
-	return v, ver
-}
-
-// VersionPending is the version LoadVersioned reports for a read answered
-// from the transaction's own write buffer: the value has no committed
-// version yet (it gets one if and when the transaction commits).
-const VersionPending = ^uint64(0)
-
-// loadVersioned is tx.load additionally reporting the commit version of the
-// record the read observed. Classic reads (and elastic reads after the
-// first write) report the version validated at commit time; elastic
-// read-only pieces report the version of the window entry the read pushed;
-// snapshot reads report the version of the chain record the snapshot
-// resolved to. Reads answered from the write buffer report VersionPending.
-//
-// The write-set scan and semantics dispatch deliberately mirror tx.load
-// rather than load delegating here: load is the per-read hot path and an
-// extra frame (or a second return value threaded through it) is the kind
-// of cost profiling has already rejected on this file. Any change to
-// load's dispatch rules MUST be made in both functions.
-func (tx *Tx) loadVersioned(c *cell) (vbox, uint64) {
-	tx.checkUsable()
-	tx.step()
-	if raceEnabled {
-		tx.tm.privCheck(c)
-	}
-	if len(tx.writes) != 0 {
-		if i := tx.findWrite(c); i >= 0 {
-			return tx.writes[i].val, VersionPending
-		}
-	}
-	switch tx.sem {
-	case Snapshot:
-		return tx.readSnapshotVer(c)
-	case Elastic:
-		if !tx.hasWrites {
-			v := tx.readElastic(c)
-			// pushWindow always leaves the entry for the read it just
-			// performed in the window's last slot (append, refresh and cut
-			// all place it there).
-			return v, tx.window[len(tx.window)-1].ver
-		}
-		fallthrough
-	default:
-		v := tx.readClassic(c)
-		return v, tx.reads[len(tx.reads)-1].ver
-	}
+	return v
 }

@@ -108,22 +108,6 @@ func (c *TypedCell[T]) StoreFinal(tx *Tx, value T) {
 	tx.store(&c.h, encodeVal(c.h.shape, value), true)
 }
 
-// LoadVersioned is Load additionally reporting the commit version of the
-// record the read observed: the version of the transaction that installed
-// the value (0 for the cell's initial value, VersionPending for a value the
-// transaction itself buffered). Inside a pinned snapshot transaction this
-// is the MVCC change detector — a record whose version exceeds an older
-// pin's Version was committed after that pin, so the binding differs
-// between the two pins without any value comparison. txstruct's
-// TreeMapOf.SnapshotDiff is built on exactly this.
-func (c *TypedCell[T]) LoadVersioned(tx *Tx) (T, uint64) {
-	if c == nil {
-		panic("core: LoadVersioned of nil cell")
-	}
-	v, ver := tx.loadVersioned(&c.h)
-	return decodeVal[T](c.h.shape, v), ver
-}
-
 // Release performs an early release (section 4.1 of the paper): the cell
 // is dropped from tx's read set and window, so future conflicts on it are
 // ignored. This is the expert-only escape hatch; releasing a location that

@@ -8,9 +8,9 @@ import (
 
 // Codec encodes map values for the on-disk backup format. The codec's Name
 // is written into every file header, making the format self-describing:
-// loading a chain with a codec whose name does not match the files fails
-// up front, and external tooling (cmd/persistctl) can pick the right
-// built-in codec from the header alone.
+// loading a checkpoint with a codec whose name does not match the file's
+// fails up front, and external tooling (cmd/persistctl) can pick the
+// right built-in codec from the header alone.
 //
 // Append must append the encoding of v to dst and return the extended
 // slice; Decode must consume exactly the bytes one Append produced (the

@@ -6,15 +6,14 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/persistmap"
-	"repro/internal/txstruct"
 )
 
-// ExampleStore is the durability walkthrough: back a live transactional
-// map up to disk as a chain (one full backup plus incremental pin-to-pin
-// diffs), crash-restart into a fresh TM, and reload the chain — same
-// single-cut guarantee, across the process boundary. The chain files are
-// checksummed; a flipped byte fails the load instead of restoring a
-// silently wrong map.
+// ExampleStore is the durability walkthrough: checkpoint a live
+// transactional map to disk — a full copy of one pinned cut, taken while
+// writers may keep committing — crash-restart into a fresh TM, and reload
+// the newest checkpoint: the same single-cut guarantee, across the
+// process boundary. Checkpoint files are checksummed; a flipped byte
+// fails the load instead of restoring a silently wrong map.
 func ExampleStore() {
 	dir, err := os.MkdirTemp("", "persistmap-example-")
 	if err != nil {
@@ -29,33 +28,24 @@ func ExampleStore() {
 		panic(err)
 	}
 
-	// Committed base state, then a full backup under one pin. The pin
-	// stays live: it is the parent of the next incremental diff.
+	// Committed base state, then a full checkpoint of one consistent cut.
 	m.Put(1, "one")
 	m.Put(2, "two")
 	m.Put(3, "three")
-	pin, _ := tm.PinSnapshot()
-	full, _ := m.BackupAt(pin)
-	store.WriteFull(full)
+	first, _ := m.Backup()
+	firstPath, _ := store.WriteFull(first)
 
-	// More commits, then an incremental diff between the two pins: only
-	// the churn is walked out, not the whole map.
-	m.Put(2, "TWO")  // changed
-	m.Delete(3)      // deleted
-	m.Put(4, "four") // added
-	next, _ := tm.PinSnapshot()
-	diff, _ := m.Diff(pin, next)
-	store.WriteDiff(diff)
-	pin.Release()
-	next.Release()
-	fmt.Printf("chain: full of %d bindings + diff of %d change(s)\n", full.Len(), diff.Len())
-	diff.Each(func(key int, val string, kind txstruct.DiffKind) bool {
-		fmt.Printf("  %s key %d\n", kind, key)
-		return true
-	})
+	// More commits, then the next checkpoint, which supersedes the first.
+	m.Put(2, "TWO")
+	m.Delete(3)
+	m.Put(4, "four")
+	second, _ := m.Backup()
+	store.WriteFull(second)
+	os.Remove(firstPath)
+	fmt.Printf("checkpoints of %d then %d binding(s)\n", first.Len(), second.Len())
 
 	// "Crash": a fresh TM with a fresh map, nothing shared but the files.
-	// Load verifies every link's checksum, replays full+diff, and Restore
+	// Load verifies the checksum and reads the newest full, and Restore
 	// swaps the state in copy-on-write.
 	tm2 := core.New()
 	m2 := persistmap.New[string](tm2)
@@ -66,30 +56,21 @@ func ExampleStore() {
 			fmt.Printf("reloaded %d = %s\n", k, v)
 		}
 	}
-
-	// Compact folds the chain back into one full backup file.
-	if _, err := store.Compact(); err != nil {
-		panic(err)
-	}
 	infos, _ := persistmap.Scan(dir)
-	fmt.Printf("after compact: %d file(s), kind %s\n", len(infos), infos[0].Kind)
+	fmt.Printf("on disk: %d file(s), kind %s\n", len(infos), infos[0].Kind)
 
 	// Output:
-	// chain: full of 3 bindings + diff of 3 change(s)
-	//   changed key 2
-	//   deleted key 3
-	//   added key 4
+	// checkpoints of 3 then 3 binding(s)
 	// reloaded 1 = one
 	// reloaded 2 = TWO
 	// reloaded 4 = four
-	// after compact: 1 file(s), kind full
+	// on disk: 1 file(s), kind full
 }
 
 // ExampleStore_Replay is the write-ahead-log walkthrough: attach a
 // group-commit WAL to a live map so every committed write-set is fsynced
-// before the commit call returns, "crash", and recover the exact
-// committed state from newest checkpoint plus WAL tail — here with no
-// checkpoint at all, redo alone rebuilds the map.
+// before the commit call returns, checkpoint once, "crash", and recover
+// the exact committed state from the newest checkpoint plus the WAL tail.
 func ExampleStore_Replay() {
 	dir, err := os.MkdirTemp("", "persistmap-wal-example-")
 	if err != nil {
@@ -113,13 +94,22 @@ func ExampleStore_Replay() {
 
 	m.Put(1, "one")
 	m.Put(2, "two")
+
+	// One checkpoint cycle: pin, full copy at the pin, write, trim the WAL
+	// to the checkpoint's version, release.
+	pin, _ := tm.PinSnapshot()
+	b, _ := m.BackupAt(pin)
+	store.WriteFull(b)
+	w.TrimTo(b.Version)
+	pin.Release()
+
 	m.Put(2, "TWO")
 	m.Delete(1)
 	m.Put(3, "three")
 	w.Close() // "crash": nothing survives but the files
 
-	// Recovery in a fresh process: newest full checkpoint (none here),
-	// then the WAL tail replayed in commit-version order.
+	// Recovery in a fresh process: the newest full checkpoint, then the
+	// WAL records past it replayed in commit-version order.
 	tm2 := core.New()
 	m2 := persistmap.New[string](tm2)
 	rs, err := persistmap.NewStore(dir, persistmap.StringCodec{})
@@ -130,8 +120,8 @@ func ExampleStore_Replay() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("replayed %d of %d record(s) from %d segment(s)\n",
-		info.Applied, info.Records, info.Segments)
+	fmt.Printf("checkpoint at version %d, then %d of %d record(s) replayed from %d segment(s)\n",
+		info.CheckpointVersion, info.Applied, info.Records, info.Segments)
 	for _, k := range []int{1, 2, 3} {
 		if v, ok, _ := m2.Get(k); ok {
 			fmt.Printf("recovered %d = %s\n", k, v)
@@ -139,7 +129,7 @@ func ExampleStore_Replay() {
 	}
 
 	// Output:
-	// replayed 5 of 5 record(s) from 1 segment(s)
+	// checkpoint at version 2, then 3 of 5 record(s) replayed from 1 segment(s)
 	// recovered 2 = TWO
 	// recovered 3 = three
 }

@@ -18,16 +18,17 @@ type checkpointRun struct {
 	err       error
 }
 
-// runCheckpointScript drives a fixed full+2-diffs+compact checkpoint
-// sequence against fsys, stopping at the first persist error. The script
-// is deterministic, so a clean run's fallible-op count indexes every
-// fault point for the table test.
+// runCheckpointScript drives three checkpoint cycles against fsys, the
+// store's own: pin, full checkpoint, release, then removal of the
+// superseded full and a directory sync. It stops at the first persist
+// error. The script is deterministic, so a clean run's fallible-op count
+// indexes every fault point for the table test.
 func runCheckpointScript(t *testing.T, fsys faultfs.FS, opts StoreOptions) checkpointRun {
 	t.Helper()
 	opts.FS = fsys
 	tm := core.New()
 	m := New[int](tm)
-	s, err := NewStoreWith("chain", IntCodec{}, opts)
+	s, err := NewStoreWith("ckpt", IntCodec{}, opts)
 	if err != nil {
 		return checkpointRun{err: err}
 	}
@@ -51,49 +52,38 @@ func runCheckpointScript(t *testing.T, fsys faultfs.FS, opts StoreOptions) check
 			t.Fatal(err)
 		}
 	}
-	pin, err := tm.PinSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { pin.Release() }()
-	b, err := m.BackupAt(pin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := capture()
-	if _, err := s.WriteFull(b); err != nil {
-		return checkpointRun{attempted: snap, err: err}
-	}
-	run.states = append(run.states, snap)
-	for r := 0; r < 2; r++ {
-		if _, err := m.Put(100+r, r); err != nil {
-			t.Fatal(err)
+	prev := ""
+	for r := 0; r < 3; r++ {
+		if r > 0 {
+			if _, err := m.Put(100+r, r); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.Delete(r); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if _, err := m.Delete(r); err != nil {
-			t.Fatal(err)
-		}
-		next, err := tm.PinSnapshot()
+		pin, err := tm.PinSnapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := m.Diff(pin, next)
+		b, err := m.BackupAt(pin)
+		pin.Release()
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap = capture()
-		if _, err := s.WriteDiff(d); err != nil {
-			next.Release()
+		snap := capture()
+		path, err := s.WriteFull(b)
+		if err == nil && prev != "" {
+			if err = fsys.Remove(prev); err == nil {
+				err = fsys.SyncDir("ckpt")
+			}
+		}
+		if err != nil {
 			run.attempted, run.err = snap, err
 			return run
 		}
 		run.states = append(run.states, snap)
-		pin.Release()
-		pin = next
-	}
-	if _, err := s.Compact(); err != nil {
-		// Compaction rewrites the SAME state the chain already holds.
-		run.attempted, run.err = run.states[len(run.states)-1], err
-		return run
+		prev = path
 	}
 	return run
 }
@@ -113,9 +103,9 @@ func stateEquals(b *Backup[int], want map[int]int) bool {
 
 // TestCheckpointFaultTable injects ENOSPC, EIO and short writes at EVERY
 // fallible filesystem operation of a checkpoint script and holds the
-// chain directory to its availability contract: whatever the failure
-// point, a fresh Store must still resolve and load the chain — the state
-// of the last successful (or errored-but-published) persist step, never
+// checkpoint directory to its availability contract: whatever the failure
+// point, a fresh Store must still load a checkpoint — the state of the
+// last successful (or errored-but-published) persist step, never
 // ErrCorrupt, never a silently shorter map. Temp files may leak; Orphans
 // must report them and removing them must not change what loads.
 func TestCheckpointFaultTable(t *testing.T) {
@@ -147,46 +137,47 @@ func TestCheckpointFaultTable(t *testing.T) {
 				run.attempted = nil
 			}
 
-			s, err := NewStoreWith("chain", IntCodec{}, StoreOptions{FS: ffs})
+			s, err := NewStoreWith("ckpt", IntCodec{}, StoreOptions{FS: ffs})
 			if err != nil {
 				t.Fatalf("%s@%d: reopen: %v", fc.label, i, err)
 			}
 			b, lerr := s.Load()
 			if len(run.states) == 0 {
-				// Nothing was ever acked: the chain is either absent —
-				// which must present as "no chain", not as corruption of
-				// something never written — or holds the attempted state
-				// (the first write published before its error, e.g. on
-				// the directory sync after the rename).
-				if errors.Is(lerr, ErrNoChain) {
+				// Nothing was ever acked: the checkpoint is either absent —
+				// which must present as "no checkpoint", not as corruption
+				// of something never written — or holds the attempted
+				// state (the first write published before its error, e.g.
+				// on the directory sync after the rename).
+				if errors.Is(lerr, ErrNoCheckpoint) {
 					continue
 				}
 				if lerr != nil {
-					t.Fatalf("%s@%d: Load of never-acked chain = %v, want ErrNoChain or the attempted state", fc.label, i, lerr)
+					t.Fatalf("%s@%d: Load of never-acked checkpoint = %v, want ErrNoCheckpoint or the attempted state", fc.label, i, lerr)
 				}
 				if run.attempted == nil || !stateEquals(b, run.attempted) {
-					t.Fatalf("%s@%d: never-acked chain loaded a state that was never attempted", fc.label, i)
+					t.Fatalf("%s@%d: never-acked checkpoint loaded a state that was never attempted", fc.label, i)
 				}
 				continue
 			}
 			if lerr != nil {
-				t.Fatalf("%s@%d: Load = %v (chain must stay loadable at every failure point)", fc.label, i, lerr)
+				t.Fatalf("%s@%d: Load = %v (a checkpoint must stay loadable at every failure point)", fc.label, i, lerr)
 			}
 			last := run.states[len(run.states)-1]
 			// The failed step may have published before erroring (rename
-			// landed, directory sync failed): both its state and the last
-			// acked one are legal, anything else is not.
+			// landed, directory sync or the superseded full's removal
+			// failed): both its state and the last acked one are legal,
+			// anything else is not.
 			if !stateEquals(b, last) && (run.attempted == nil || !stateEquals(b, run.attempted)) {
 				t.Fatalf("%s@%d: loaded state matches neither the last persisted nor the attempted step", fc.label, i)
 			}
 
 			// Orphan contract: reporting never errors, and cleaning the
 			// orphans away must not change what loads.
-			orphans, oerr := OrphansFS(ffs, "chain")
+			leftover, oerr := orphans(ffs, "ckpt")
 			if oerr != nil {
 				t.Fatalf("%s@%d: Orphans: %v", fc.label, i, oerr)
 			}
-			for _, o := range orphans {
+			for _, o := range leftover {
 				if err := ffs.Remove(o); err != nil {
 					t.Fatalf("%s@%d: removing orphan %s: %v", fc.label, i, o, err)
 				}
@@ -219,7 +210,7 @@ func TestCheckpointWriteRetry(t *testing.T) {
 	counter := faultfs.New(nil)
 	tmC := core.New()
 	mC := New[int](tmC)
-	sC, err := NewStoreWith("chain", IntCodec{}, StoreOptions{FS: counter})
+	sC, err := NewStoreWith("ckpt", IntCodec{}, StoreOptions{FS: counter})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +238,7 @@ func TestCheckpointWriteRetry(t *testing.T) {
 		ffs := faultfs.New(faultfs.FailOp(i, faultfs.Fault{Err: faultfs.ErrIO}))
 		tm := core.New()
 		m := New[int](tm)
-		s, err := NewStoreWith("chain", IntCodec{}, StoreOptions{FS: ffs, WriteAttempts: 3, WriteBackoff: time.Nanosecond})
+		s, err := NewStoreWith("ckpt", IntCodec{}, StoreOptions{FS: ffs, WriteAttempts: 3, WriteBackoff: time.Nanosecond})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,14 +13,17 @@
 // few commits lost the versions it was iterating (AbortSnapshotTooOld);
 // with the pin, "snapshot iteration makes cheap backups" holds at any
 // size. Restore brings the live tree to the backup's state in bounded
-// chunked transactions (RestoreFullTx; RestoreDiffTx is the incremental
-// counterpart), so recovery never pays one map-sized commit; concurrent
-// pinned readers keep their old cut throughout.
+// chunked transactions (RestoreFullTx), so recovery never pays one
+// map-sized commit; concurrent pinned readers keep their old cut
+// throughout.
 //
-// On top of the checkpoint chain sits the write-ahead log (wal.go and the
-// walsync group-commit daemon): every committed write set streams into
-// CRC'd segment files and Store.Replay recovers newest-full-checkpoint +
-// WAL tail, so recovery loses nothing past the last acked commit.
+// Durability has one path. A Store writes full checkpoints (store.go),
+// and the write-ahead log (wal.go and the walsync group-commit daemon)
+// streams every committed write set into CRC'd segment files. The
+// checkpoint cycle is pin, BackupAt, WriteFull, WAL.TrimTo, release; the
+// superseded full may then be removed. Store.Replay recovers newest full
+// checkpoint + WAL tail, so recovery loses nothing past the last acked
+// commit.
 package persistmap
 
 import (
@@ -200,9 +203,9 @@ func (m *Map[V]) Backup() (*Backup[V], error) {
 }
 
 // BackupAt is Backup at a pin the caller holds (and keeps holding): the
-// backup chain idiom, where the pin of the last backup stays live so the
-// next incremental Diff can walk both versions. The pin must belong to the
-// map's TM and stays valid after the call.
+// checkpoint idiom, where the same pin's version is what the WAL is then
+// trimmed to. The pin must belong to the map's TM and stays valid after
+// the call.
 func (m *Map[V]) BackupAt(pin *core.SnapshotPin) (*Backup[V], error) {
 	b := &Backup[V]{Version: pin.Version()}
 	lo := math.MinInt
@@ -331,23 +334,22 @@ func (m *Map[V]) RestoreFullTx(b *Backup[V]) error {
 	return nil
 }
 
-// RestoreDiffTx applies a Diff's changes to the LIVE map in bounded
-// transactions of at most chunk changes each: added and changed keys are
-// put, deleted keys are deleted. Unlike Diff.Apply — the strict structural
-// merge over immutable Backups — this is a redo-style blind apply: it does
-// not require the live state to equal the diff's parent, which is exactly
-// what write-ahead-log replay needs (each WAL record is a committed write
-// set re-applied on top of whatever checkpoint recovery started from).
+// applyOps re-applies a redo sequence — keys[i] put to vals[i], or
+// deleted when dels[i] — to the LIVE map in bounded transactions of at
+// most chunk operations each. It is a blind apply: it does not require
+// the live state to be any particular version, which is exactly what
+// write-ahead-log replay needs (each WAL record is a committed write set
+// re-applied on top of whatever checkpoint recovery started from).
 // Atomicity is per chunk, as with RestoreFullTx.
-func (m *Map[V]) RestoreDiffTx(d *Diff[V]) error {
-	for start := 0; start < len(d.keys); start += m.chunk {
-		end := min(start+m.chunk, len(d.keys))
+func (m *Map[V]) applyOps(keys []int, vals []V, dels []bool) error {
+	for start := 0; start < len(keys); start += m.chunk {
+		end := min(start+m.chunk, len(keys))
 		err := m.tm.Atomically(core.Classic, func(tx *core.Tx) error {
 			for i := start; i < end; i++ {
-				if d.kinds[i] == txstruct.DiffDeleted {
-					m.tree.DeleteTx(tx, d.keys[i])
+				if dels[i] {
+					m.tree.DeleteTx(tx, keys[i])
 				} else {
-					m.tree.PutTx(tx, d.keys[i], d.vals[i])
+					m.tree.PutTx(tx, keys[i], vals[i])
 				}
 			}
 			return nil
@@ -368,7 +370,7 @@ func (m *Map[V]) RestoreTx(tx *core.Tx, b *Backup[V]) {
 }
 
 // Backup is an immutable point-in-time copy of a Map: plain sorted
-// parallel slices, cheap to keep, diff and re-apply. It is NOT
+// parallel slices, cheap to keep and re-apply. It is NOT
 // transactional state — reading it needs no transaction.
 type Backup[V any] struct {
 	// Version is the pinned TM version the backup captured.

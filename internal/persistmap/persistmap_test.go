@@ -1,6 +1,8 @@
 package persistmap
 
 import (
+	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -308,7 +310,7 @@ func TestRestoreFullTxNoTearing(t *testing.T) {
 			bVals = append(bVals, 2000+k)
 		}
 	}
-	b, err := BackupOf(1, bKeys, bVals)
+	b, err := backupOf(1, bKeys, bVals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +361,7 @@ func TestRestoreFullTxNoTearing(t *testing.T) {
 			oVals = append(oVals, 1000+k)
 		}
 	}
-	orig, err := BackupOf(1, oKeys, oVals)
+	orig, err := backupOf(1, oKeys, oVals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,4 +393,24 @@ func TestRestoreFullTxNoTearing(t *testing.T) {
 			t.Fatalf("restored key %d = (%d,%v,%v), want (%d,true,nil)", k, v, ok, err, bVals[i])
 		}
 	}
+}
+
+// backupOf builds a Backup directly from sorted parallel slices. keys
+// must be strictly ascending and parallel to vals.
+func backupOf[V any](version uint64, keys []int, vals []V) (*Backup[V], error) {
+	if len(keys) != len(vals) {
+		return nil, fmt.Errorf("persistmap: %d keys, %d vals", len(keys), len(vals))
+	}
+	if !sort.IntsAreSorted(keys) {
+		return nil, fmt.Errorf("persistmap: keys not ascending")
+	}
+	for i := 1; i < len(keys); i++ {
+		if keys[i] == keys[i-1] {
+			return nil, fmt.Errorf("persistmap: duplicate key %d", keys[i])
+		}
+	}
+	b := &Backup[V]{Version: version}
+	b.keys = append(b.keys, keys...)
+	b.vals = append(b.vals, vals...)
+	return b, nil
 }

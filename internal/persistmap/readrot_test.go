@@ -20,17 +20,16 @@ func (r rotOnOpen) Fault(_ int, op faultfs.OpKind, path string) *faultfs.Fault {
 }
 
 // TestReplayReadRotFallsBack is the read-path recovery regression: the
-// chain is written cleanly, then the newest full checkpoint decays on the
+// checkpoints are written cleanly, then the newest full decays on the
 // platter — one bit flips when recovery opens it. The load must surface
 // the damage as ErrCorrupt internally (never a silently wrong map),
-// report the file in SkippedCorrupt, and fall back to the previous
-// full+diff chain.
+// report the file in SkippedCorrupt, and fall back to the previous full.
 func TestReplayReadRotFallsBack(t *testing.T) {
 	fsys := faultfs.New(nil)
 	opts := StoreOptions{FS: fsys}
 	tm := core.New()
 	m := New[int](tm)
-	s, err := NewStoreWith("chain", IntCodec{}, opts)
+	s, err := NewStoreWith("ckpt", IntCodec{}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,57 +39,34 @@ func TestReplayReadRotFallsBack(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	full := func() (uint64, string) {
+		t.Helper()
+		b, err := m.Backup()
+		if err != nil {
+			t.Fatal(err)
+		}
+		path, err := s.WriteFull(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b.Version, path
+	}
 
-	// Chain: full A (keys 0,1) → diff A→B (key 2) → full C (key 3).
+	// Checkpoints: full A (keys 0,1), full B (+ key 2), full C (+ key 3).
 	put(0, 10)
 	put(1, 11)
-	pinA, err := tm.PinSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := m.BackupAt(pinA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.WriteFull(a); err != nil {
-		t.Fatal(err)
-	}
+	full()
 	put(2, 12)
-	pinB, err := tm.PinSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := m.Diff(pinA, pinB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pinA.Release()
-	if _, err := s.WriteDiff(d); err != nil {
-		t.Fatal(err)
-	}
-	verB := d.Version
+	verB, _ := full()
 	put(3, 13)
-	pinC, err := tm.PinSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := m.BackupAt(pinC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pathC, err := s.WriteFull(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pinB.Release()
-	pinC.Release()
+	_, pathC := full()
 
 	// The platter decays: checkpoint C rots when recovery first opens it.
 	fsys.SetReadInjector(rotOnOpen{path: pathC})
 
 	tm2 := core.New()
 	m2 := New[int](tm2)
-	s2, err := NewStoreWith("chain", IntCodec{}, opts)
+	s2, err := NewStoreWith("ckpt", IntCodec{}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,14 +74,14 @@ func TestReplayReadRotFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Replay over rotted newest full = %v, want fallback", err)
 	}
-	if info.ChainVersion != verB {
-		t.Fatalf("ChainVersion = %d, want the previous chain's %d", info.ChainVersion, verB)
+	if info.CheckpointVersion != verB {
+		t.Fatalf("CheckpointVersion = %d, want the previous full's %d", info.CheckpointVersion, verB)
 	}
 	base := pathC[strings.LastIndex(pathC, "/")+1:]
 	if len(info.SkippedCorrupt) != 1 || !strings.Contains(info.SkippedCorrupt[0], base) {
 		t.Fatalf("SkippedCorrupt = %v, want exactly the rotted full %s", info.SkippedCorrupt, base)
 	}
 	// No WAL bridges B→C here, so key 3 is the documented casualty; the
-	// previous chain must come back exactly.
+	// previous full must come back exactly.
 	mapEquals(t, m2, map[int]int{0: 10, 1: 11, 2: 12}, "read-rot fallback recovery")
 }

@@ -11,13 +11,13 @@ import (
 // buildFallbackDir constructs the fallback scenario on the real disk:
 //
 //	phase 1  keys 0,1 → 10,11   full checkpoint A
-//	phase 2  key  2   → 12      diff A→B
+//	phase 2  key  2   → 12      full checkpoint B
 //	phase 3  key  3   → 13      full checkpoint C
 //	phase 4  key  4   → 14      (WAL only)
 //
 // every commit durable through a one-record-per-segment WAL. trim runs
 // TrimTo(C) when set — aging phase 1–3's records out of the WAL — and
-// the newest full (C) is then bit-flipped. Returns the chain dir, C's
+// the newest full (C) is then bit-flipped. Returns the directory, C's
 // path, and B's version.
 func buildFallbackDir(t *testing.T, trim bool) (dir, fullC string, versionB uint64) {
 	t.Helper()
@@ -37,52 +37,37 @@ func buildFallbackDir(t *testing.T, trim bool) (dir, fullC string, versionB uint
 			t.Fatal(err)
 		}
 	}
-	checkpoint := func(full bool, prev *core.SnapshotPin) (*core.SnapshotPin, uint64, string) {
+	checkpoint := func() (uint64, string) {
 		t.Helper()
 		pin, err := tm.PinSnapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
-		var path string
-		var ver uint64
-		if full {
-			b, err := m.BackupAt(pin)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if path, err = s.WriteFull(b); err != nil {
-				t.Fatal(err)
-			}
-			ver = b.Version
-		} else {
-			d, err := m.Diff(prev, pin)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if path, err = s.WriteDiff(d); err != nil {
-				t.Fatal(err)
-			}
-			ver = d.Version
+		defer pin.Release()
+		b, err := m.BackupAt(pin)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return pin, ver, path
+		path, err := s.WriteFull(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b.Version, path
 	}
 
 	put(0, 10)
 	put(1, 11)
-	pinA, _, _ := checkpoint(true, nil)
+	checkpoint()
 	put(2, 12)
-	pinB, verB, _ := checkpoint(false, pinA)
-	pinA.Release()
+	verB, _ := checkpoint()
 	put(3, 13)
-	pinC, verC, pathC := checkpoint(true, nil)
-	pinB.Release()
+	verC, pathC := checkpoint()
 	if trim {
 		if _, err := w.TrimTo(verC); err != nil {
 			t.Fatal(err)
 		}
 	}
 	put(4, 14)
-	pinC.Release()
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -101,8 +86,8 @@ func buildFallbackDir(t *testing.T, trim bool) (dir, fullC string, versionB uint
 }
 
 // TestReplayFallbackCorruptNewestFull: with the newest full checkpoint
-// corrupt but the WAL intact since the previous chain, recovery falls
-// back to full A + diff B and re-applies the surviving records —
+// corrupt but the WAL intact since the previous full, recovery falls
+// back to full B and re-applies the surviving records —
 // recovering EVERYTHING, because every commit past B is still in the
 // log. The corrupt file is reported, not fatal.
 func TestReplayFallbackCorruptNewestFull(t *testing.T) {
@@ -114,8 +99,8 @@ func TestReplayFallbackCorruptNewestFull(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Replay with corrupt newest full = %v, want fallback", err)
 	}
-	if info.ChainVersion != verB {
-		t.Fatalf("ChainVersion = %d, want the previous chain's %d", info.ChainVersion, verB)
+	if info.CheckpointVersion != verB {
+		t.Fatalf("CheckpointVersion = %d, want the previous full's %d", info.CheckpointVersion, verB)
 	}
 	if len(info.SkippedCorrupt) != 1 || !strings.Contains(info.SkippedCorrupt[0], fullC[strings.LastIndex(fullC, "/")+1:]) {
 		t.Fatalf("SkippedCorrupt = %v, want exactly the damaged full %s", info.SkippedCorrupt, fullC)
@@ -125,8 +110,8 @@ func TestReplayFallbackCorruptNewestFull(t *testing.T) {
 
 // TestReplayFallbackAfterTrim pins the DEGRADED variant: the WAL was
 // trimmed against checkpoint C before C went bad, so the records
-// bridging B→C are gone. Recovery still loads — previous chain plus the
-// surviving tail — and exactly the commits covered by {chain ≤ B} ∪
+// bridging B→C are gone. Recovery still loads — previous full plus the
+// surviving tail — and exactly the commits covered by {full ≤ B} ∪
 // {WAL > C} come back: phase 3's key is the casualty, and the non-empty
 // SkippedCorrupt is the caller's signal that this recovery is partial.
 func TestReplayFallbackAfterTrim(t *testing.T) {
@@ -138,8 +123,8 @@ func TestReplayFallbackAfterTrim(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Replay = %v, want degraded fallback", err)
 	}
-	if info.ChainVersion != verB {
-		t.Fatalf("ChainVersion = %d, want %d", info.ChainVersion, verB)
+	if info.CheckpointVersion != verB {
+		t.Fatalf("CheckpointVersion = %d, want %d", info.CheckpointVersion, verB)
 	}
 	if len(info.SkippedCorrupt) != 1 {
 		t.Fatalf("SkippedCorrupt = %v, want the damaged full", info.SkippedCorrupt)

@@ -11,31 +11,28 @@ import (
 	"time"
 
 	"repro/internal/faultfs"
-	"repro/internal/txstruct"
 )
 
-// This file is the durable half of the persistent-map layer: full backups
-// and pin-to-pin diffs serialized to disk as a GENERATION CHAIN — one full
-// backup plus any number of incremental diffs, each naming its parent pin
-// version — and loaded back into the in-memory Backup that Restore swaps
-// in copy-on-write. The single-cut guarantee a SnapshotPin gives in memory
+// This file is the durable half of the persistent-map layer: full
+// checkpoints — one Backup per file, taken under a SnapshotPin — written
+// to disk and read back into the in-memory Backup that Restore swaps in
+// copy-on-write. The single-cut guarantee a SnapshotPin gives in memory
 // crosses the process boundary here, so the format is paranoid by
 // construction: self-describing header, length-prefixed records, and a
 // CRC32 over header and body that makes a torn, truncated or bit-flipped
 // file fail the load with ErrCorrupt — never a silently half-applied map.
+// Commits past the newest checkpoint live in the write-ahead log (wal.go).
 //
 // File layout (all integers little-endian):
 //
 //	magic     [8]byte  "repromap"
 //	format    uint16   currently 1
-//	kind      uint8    1 = full backup, 2 = incremental diff
+//	kind      uint8    1 = full checkpoint (the only kind this build reads)
 //	codec     uint8 n, [n]byte   the value codec's Name
 //	version   uint64   the pin version the file captures
-//	parent    uint64   diff: the parent pin version; full: == version
+//	parent    uint64   == version
 //	count     uint64   number of records in the body
-//	body      full:  count × { key int64, len uint32, value [len]byte }
-//	          diff:  count × { kind uint8, key int64,
-//	                           added/changed: len uint32, value [len]byte }
+//	body      count × { key int64, len uint32, value [len]byte }
 //	crc       uint32   IEEE CRC32 over every preceding byte
 type fileHeader struct {
 	Kind    FileKind
@@ -45,64 +42,51 @@ type fileHeader struct {
 	Count   uint64
 }
 
-// FileKind distinguishes the two chain-link file types.
+// FileKind is the header's kind byte. FileFull is the only kind this
+// build writes or reads; an older build's incremental-diff files (kind 2)
+// are rejected as ErrCorrupt.
 type FileKind uint8
 
-const (
-	// FileFull is a complete backup: the chain's base.
-	FileFull FileKind = 1
-	// FileDiff is an incremental pin-to-pin diff: a chain link applied on
-	// top of the state at its parent version.
-	FileDiff FileKind = 2
-)
+// FileFull is a complete checkpoint of the map at one pin version.
+const FileFull FileKind = 1
 
 // String names the kind for tooling output.
 func (k FileKind) String() string {
-	switch k {
-	case FileFull:
+	if k == FileFull {
 		return "full"
-	case FileDiff:
-		return "diff"
-	default:
-		return fmt.Sprintf("FileKind(%d)", uint8(k))
 	}
+	return fmt.Sprintf("FileKind(%d)", uint8(k))
 }
 
 // ErrCorrupt is wrapped by every load-path failure caused by file damage —
 // checksum mismatch, truncation, bad magic, malformed records — so callers
-// can distinguish "the backup is damaged" from I/O errors with errors.Is.
+// can distinguish "the checkpoint is damaged" from I/O errors with
+// errors.Is.
 var ErrCorrupt = errors.New("persistmap: corrupt backup file")
 
-// ErrNoChain marks a chain resolution that found no usable full backup at
-// or below its target — the directory may be empty, hold only diffs, or
-// (under a lax scan) have lost its fulls to damage. Distinguishable from
-// ErrCorrupt so Replay's fallback logic can tell "nothing there" from
-// "something there is broken".
-var ErrNoChain = errors.New("persistmap: no full backup")
+// ErrNoCheckpoint marks a directory that holds no full checkpoint — it
+// may be empty, hold only WAL segments, or have lost its checkpoints to
+// damage. Distinguishable from ErrCorrupt so callers can tell "nothing
+// there" from "something there is broken".
+var ErrNoCheckpoint = errors.New("persistmap: no full checkpoint")
 
 const (
-	fileMagic   = "repromap"
-	fileFormat  = uint16(1)
-	fileExt     = ".pmb" // persistent map backup
-	diffDeleted = uint8(txstruct.DiffDeleted)
+	fileMagic  = "repromap"
+	fileFormat = uint16(1)
+	fileExt    = ".pmb" // persistent map backup
 )
 
-// FileName returns the canonical chain-link name for a header: fulls are
-// full-<version>, diffs diff-<parent>-<version>, both hex-padded so
-// lexical order is version order.
+// fileName returns the canonical checkpoint name, full-<version>,
+// hex-padded so lexical order is version order.
 func (h fileHeader) fileName() string {
-	if h.Kind == FileFull {
-		return fmt.Sprintf("full-%016x%s", h.Version, fileExt)
-	}
-	return fmt.Sprintf("diff-%016x-%016x%s", h.Parent, h.Version, fileExt)
+	return fmt.Sprintf("full-%016x%s", h.Version, fileExt)
 }
 
-// Store writes and loads backup chains for one map in one directory. The
-// directory is the chain's identity: WriteFull starts (or restarts) a
-// chain, WriteDiff extends it, Load replays the newest chain, Compact
-// folds it back into a single full backup. A Store is safe for concurrent
-// use only by external serialization (the backup pipeline is inherently
-// sequential: each diff's parent is the previous link's pin).
+// Store writes and loads the full checkpoints of one map in one
+// directory, beside the map's WAL segments (OpenWAL): WriteFull lands a
+// checkpoint, Load reads the newest one, Replay recovers newest checkpoint
+// plus WAL tail. Callers serialize their checkpoint writes; the store
+// adds no locking of its own.
 type Store[V any] struct {
 	dir   string
 	codec Codec[V]
@@ -118,14 +102,13 @@ type StoreOptions struct {
 	// the real disk (faultfs.OS). Fault-injection harnesses substitute a
 	// faultfs.FaultFS here.
 	FS faultfs.FS
-	// WriteAttempts bounds how many times a checkpoint write
-	// (WriteFull/WriteDiff/Compact's output file) is attempted before the
-	// error is surfaced; <= 0 means the default (3). Retrying here is
-	// SAFE, unlike in the WAL: every attempt rebuilds the entire temp
-	// file from the in-memory buffer with a truncating create, so a
-	// prior attempt's fate — including an fsync whose dirty pages the
-	// kernel dropped — cannot leak into the bytes the successful attempt
-	// lands.
+	// WriteAttempts bounds how many times a checkpoint write (WriteFull)
+	// is attempted before the error is surfaced; <= 0 means the default
+	// (3). Retrying here is SAFE, unlike in the WAL: every attempt
+	// rebuilds the entire temp file from the in-memory buffer with a
+	// truncating create, so a prior attempt's fate — including an fsync
+	// whose dirty pages the kernel dropped — cannot leak into the bytes
+	// the successful attempt lands.
 	WriteAttempts int
 	// WriteBackoff is the pause before retry n (scaled linearly by n);
 	// <= 0 means the default (2ms).
@@ -137,8 +120,8 @@ const (
 	defaultWriteBackoff  = 2 * time.Millisecond
 )
 
-// NewStore opens (creating if needed) the chain directory with the given
-// value codec, on the real disk with default retry policy.
+// NewStore opens (creating if needed) the checkpoint directory with the
+// given value codec, on the real disk with default retry policy.
 func NewStore[V any](dir string, codec Codec[V]) (*Store[V], error) {
 	return NewStoreWith(dir, codec, StoreOptions{})
 }
@@ -161,12 +144,12 @@ func NewStoreWith[V any](dir string, codec Codec[V], opts StoreOptions) (*Store[
 		writeAttempts: opts.WriteAttempts, writeBackoff: opts.WriteBackoff}, nil
 }
 
-// Dir returns the chain directory.
+// Dir returns the checkpoint directory.
 func (s *Store[V]) Dir() string { return s.dir }
 
-// WriteFull writes b as a full backup file and returns its path. The write
-// is atomic (temp file, fsync, rename): a crash mid-write leaves at most a
-// temp file the loader never considers.
+// WriteFull writes b as a full checkpoint file and returns its path. The
+// write is atomic (temp file, fsync, rename): a crash mid-write leaves at
+// most a temp file the loader never considers.
 func (s *Store[V]) WriteFull(b *Backup[V]) (string, error) {
 	h := fileHeader{Kind: FileFull, Codec: s.codec.Name(), Version: b.Version,
 		Parent: b.Version, Count: uint64(len(b.keys))}
@@ -179,33 +162,6 @@ func (s *Store[V]) WriteFull(b *Backup[V]) (string, error) {
 		buf, err = appendValue(buf, s.codec, b.vals[i])
 		if err != nil {
 			return "", err
-		}
-	}
-	return s.writeFile(h, buf)
-}
-
-// WriteDiff writes d as an incremental chain link and returns its path. A
-// diff that does not advance the version (FromVersion == Version) is
-// rejected: it would make the chain ambiguous to follow.
-func (s *Store[V]) WriteDiff(d *Diff[V]) (string, error) {
-	if d.Version <= d.FromVersion {
-		return "", fmt.Errorf("persistmap: diff version %d does not advance past parent %d",
-			d.Version, d.FromVersion)
-	}
-	h := fileHeader{Kind: FileDiff, Codec: s.codec.Name(), Version: d.Version,
-		Parent: d.FromVersion, Count: uint64(len(d.keys))}
-	buf, err := appendHeader(nil, h)
-	if err != nil {
-		return "", err
-	}
-	for i := range d.keys {
-		buf = append(buf, uint8(d.kinds[i]))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(d.keys[i])))
-		if d.kinds[i] != txstruct.DiffDeleted {
-			buf, err = appendValue(buf, s.codec, d.vals[i])
-			if err != nil {
-				return "", err
-			}
 		}
 	}
 	return s.writeFile(h, buf)
@@ -259,8 +215,8 @@ func (s *Store[V]) writeFileOnce(path, tmp string, buf []byte) error {
 		return fmt.Errorf("persistmap: %w", err)
 	}
 	// The rename's directory entry must reach disk too: without it a
-	// crash after "success" can lose the whole file, and a chain whose
-	// newest diff silently vanished would load an OLDER state with no
+	// crash after "success" can lose the whole file, and a caller that
+	// trimmed the WAL against it would recover an OLDER state with no
 	// error — the quiet data loss this format exists to preclude.
 	return syncDirFS(s.fs, s.dir)
 }
@@ -353,15 +309,11 @@ func (r *reader) u64() (uint64, error) {
 	return binary.LittleEndian.Uint64(b), nil
 }
 
-// openFile reads a chain file, verifies the trailer CRC over header and
-// body, and returns the parsed header plus a cursor over the body. Every
-// damage mode — truncation, bit flips, bad magic, unknown format — fails
-// here with ErrCorrupt before a single record is decoded.
-func openFile(path string) (fileHeader, *reader, error) {
-	return openFileFS(faultfs.OS, path)
-}
-
-func openFileFS(fsys faultfs.FS, path string) (fileHeader, *reader, error) {
+// openFile reads a checkpoint file, verifies the trailer CRC over header
+// and body, and returns the parsed header plus a cursor over the body.
+// Every damage mode — truncation, bit flips, bad magic, unknown format or
+// kind — fails here with ErrCorrupt before a single record is decoded.
+func openFile(fsys faultfs.FS, path string) (fileHeader, *reader, error) {
 	var h fileHeader
 	data, err := faultfs.ReadFile(fsys, path)
 	if err != nil {
@@ -390,7 +342,7 @@ func openFileFS(fsys faultfs.FS, path string) (fileHeader, *reader, error) {
 	if err != nil {
 		return h, nil, err
 	}
-	if FileKind(kind) != FileFull && FileKind(kind) != FileDiff {
+	if FileKind(kind) != FileFull {
 		return h, nil, fmt.Errorf("%w: %s: unknown file kind %d", ErrCorrupt, path, kind)
 	}
 	nameLen, err := r.u8()
@@ -415,43 +367,42 @@ func openFileFS(fsys faultfs.FS, path string) (fileHeader, *reader, error) {
 	return h, r, nil
 }
 
-// FileInfo is the inspectable identity of one chain file, readable without
-// a value codec (cmd/persistctl's currency).
+// FileInfo is the inspectable identity of one checkpoint file, readable
+// without a value codec (cmd/persistctl's currency).
 type FileInfo struct {
 	Path    string
 	Kind    FileKind
 	Codec   string
 	Version uint64
-	Parent  uint64
 	Count   uint64
 	Size    int64
 }
 
 // String renders one tooling line.
 func (fi FileInfo) String() string {
-	link := fmt.Sprintf("version %d", fi.Version)
-	if fi.Kind == FileDiff {
-		link = fmt.Sprintf("version %d→%d", fi.Parent, fi.Version)
-	}
-	return fmt.Sprintf("%-6s %s codec=%s records=%d bytes=%d",
-		fi.Kind, link, fi.Codec, fi.Count, fi.Size)
+	return fmt.Sprintf("%-6s version %d codec=%s records=%d bytes=%d",
+		fi.Kind, fi.Version, fi.Codec, fi.Count, fi.Size)
 }
 
-// ReadInfo verifies a chain file's checksum and returns its header, codec-
-// agnostically. It does not decode records; VerifyFile does the structural
-// walk as well.
+// infoOf is the FileInfo of an opened file; r holds its body.
+func infoOf(path string, h fileHeader, r *reader) FileInfo {
+	return FileInfo{Path: path, Kind: h.Kind, Codec: h.Codec, Version: h.Version,
+		Count: h.Count, Size: int64(len(r.data)) + 4}
+}
+
+// ReadInfo verifies a checkpoint file's checksum and returns its header,
+// codec-agnostically. It does not decode records; VerifyFile does the
+// structural walk as well.
 func ReadInfo(path string) (FileInfo, error) {
-	return ReadInfoFS(faultfs.OS, path)
+	return readInfo(faultfs.OS, path)
 }
 
-// ReadInfoFS is ReadInfo through an explicit filesystem.
-func ReadInfoFS(fsys faultfs.FS, path string) (FileInfo, error) {
-	h, r, err := openFileFS(fsys, path)
+func readInfo(fsys faultfs.FS, path string) (FileInfo, error) {
+	h, r, err := openFile(fsys, path)
 	if err != nil {
 		return FileInfo{}, err
 	}
-	return FileInfo{Path: path, Kind: h.Kind, Codec: h.Codec, Version: h.Version,
-		Parent: h.Parent, Count: h.Count, Size: int64(len(r.data)) + 4}, nil
+	return infoOf(path, h, r), nil
 }
 
 // VerifyFile is ReadInfo plus a full structural walk of the body: every
@@ -459,25 +410,13 @@ func ReadInfoFS(fsys faultfs.FS, path string) (FileInfo, error) {
 // must end exactly at the declared count — all without decoding a single
 // value, so it needs no codec.
 func VerifyFile(path string) (FileInfo, error) {
-	h, r, err := openFile(path)
+	h, r, err := openFile(faultfs.OS, path)
 	if err != nil {
 		return FileInfo{}, err
 	}
-	info := FileInfo{Path: path, Kind: h.Kind, Codec: h.Codec, Version: h.Version,
-		Parent: h.Parent, Count: h.Count, Size: int64(len(r.data)) + 4}
+	info := infoOf(path, h, r)
 	prevKey, first := 0, true
 	for i := uint64(0); i < h.Count; i++ {
-		hasValue := true
-		if h.Kind == FileDiff {
-			kind, err := r.u8()
-			if err != nil {
-				return info, err
-			}
-			if kind < uint8(txstruct.DiffAdded) || kind > diffDeleted {
-				return info, fmt.Errorf("%w: %s: record %d: unknown diff kind %d", ErrCorrupt, path, i, kind)
-			}
-			hasValue = kind != diffDeleted
-		}
 		keyBits, err := r.u64()
 		if err != nil {
 			return info, err
@@ -487,9 +426,6 @@ func VerifyFile(path string) (FileInfo, error) {
 			return info, fmt.Errorf("%w: %s: record %d: key %d out of order", ErrCorrupt, path, i, key)
 		}
 		prevKey, first = key, false
-		if !hasValue {
-			continue
-		}
 		n, err := r.u32()
 		if err != nil {
 			return info, err
@@ -514,14 +450,11 @@ func (s *Store[V]) checkCodec(path string, h fileHeader) error {
 	return nil
 }
 
-// ReadFull loads one full-backup file.
+// ReadFull loads one full checkpoint file.
 func (s *Store[V]) ReadFull(path string) (*Backup[V], error) {
-	h, r, err := openFileFS(s.fs, path)
+	h, r, err := openFile(s.fs, path)
 	if err != nil {
 		return nil, err
-	}
-	if h.Kind != FileFull {
-		return nil, fmt.Errorf("persistmap: %s is a %s file, not a full backup", path, h.Kind)
 	}
 	if err := s.checkCodec(path, h); err != nil {
 		return nil, err
@@ -557,68 +490,14 @@ func (s *Store[V]) ReadFull(path string) (*Backup[V], error) {
 	return b, nil
 }
 
-// ReadDiff loads one incremental-diff file.
-func (s *Store[V]) ReadDiff(path string) (*Diff[V], error) {
-	h, r, err := openFileFS(s.fs, path)
-	if err != nil {
-		return nil, err
-	}
-	if h.Kind != FileDiff {
-		return nil, fmt.Errorf("persistmap: %s is a %s file, not a diff", path, h.Kind)
-	}
-	if err := s.checkCodec(path, h); err != nil {
-		return nil, err
-	}
-	d := &Diff[V]{FromVersion: h.Parent, Version: h.Version}
-	for i := uint64(0); i < h.Count; i++ {
-		kind, err := r.u8()
-		if err != nil {
-			return nil, err
-		}
-		if kind < uint8(txstruct.DiffAdded) || kind > diffDeleted {
-			return nil, fmt.Errorf("%w: %s: unknown diff kind %d", ErrCorrupt, path, kind)
-		}
-		keyBits, err := r.u64()
-		if err != nil {
-			return nil, err
-		}
-		key := int(int64(keyBits))
-		if len(d.keys) > 0 && key <= d.keys[len(d.keys)-1] {
-			return nil, fmt.Errorf("%w: %s: key %d out of order", ErrCorrupt, path, key)
-		}
-		var v V
-		if kind != diffDeleted {
-			n, err := r.u32()
-			if err != nil {
-				return nil, err
-			}
-			enc, err := r.take(int(n))
-			if err != nil {
-				return nil, err
-			}
-			if v, err = s.codec.Decode(enc); err != nil {
-				return nil, fmt.Errorf("%w: %s: key %d: %v", ErrCorrupt, path, key, err)
-			}
-		}
-		d.keys = append(d.keys, key)
-		d.kinds = append(d.kinds, txstruct.DiffKind(kind))
-		d.vals = append(d.vals, v)
-	}
-	if r.off != len(r.data) {
-		return nil, fmt.Errorf("%w: %s: %d trailing bytes", ErrCorrupt, path, len(r.data)-r.off)
-	}
-	return d, nil
-}
-
-// Scan verifies and returns the header of every chain file in the
-// directory, sorted by (version, kind). A directory with no chain files is
-// an empty (not an error) scan.
+// Scan verifies and returns the header of every checkpoint file in the
+// directory, sorted by version; the first damaged file fails the scan. A
+// directory with no checkpoint files is an empty (not an error) scan.
 func Scan(dir string) ([]FileInfo, error) {
-	return ScanFS(faultfs.OS, dir)
+	return scanStrict(faultfs.OS, dir)
 }
 
-// ScanFS is Scan through an explicit filesystem.
-func ScanFS(fsys faultfs.FS, dir string) ([]FileInfo, error) {
+func scanStrict(fsys faultfs.FS, dir string) ([]FileInfo, error) {
 	infos, corrupt, err := scanLax(fsys, dir)
 	if err != nil {
 		return nil, err
@@ -629,20 +508,20 @@ func ScanFS(fsys faultfs.FS, dir string) ([]FileInfo, error) {
 	return infos, nil
 }
 
-// CorruptFile is one chain file a lax scan could not verify.
+// CorruptFile is one checkpoint file a lax scan could not verify.
 type CorruptFile struct {
 	Path string
 	Err  error
 }
 
-// ScanLax reads every chain file's header like Scan, but collects
+// ScanLax reads every checkpoint file's header like Scan, but collects
 // damaged files instead of failing on the first one — the scan tooling
 // uses to render a partially damaged directory.
 func ScanLax(dir string) ([]FileInfo, []CorruptFile, error) {
 	return scanLax(faultfs.OS, dir)
 }
 
-// scanLax reads every chain file's header, collecting damaged files
+// scanLax reads every checkpoint file's header, collecting damaged files
 // instead of failing the scan — the substrate of checkpoint-corruption
 // fallback (Replay keeps loading around a corrupt newest full) and of
 // tooling that must render a damaged directory.
@@ -658,19 +537,14 @@ func scanLax(fsys faultfs.FS, dir string) ([]FileInfo, []CorruptFile, error) {
 			continue
 		}
 		path := filepath.Join(dir, name)
-		info, err := ReadInfoFS(fsys, path)
+		info, err := readInfo(fsys, path)
 		if err != nil {
 			corrupt = append(corrupt, CorruptFile{Path: path, Err: err})
 			continue
 		}
 		infos = append(infos, info)
 	}
-	sort.Slice(infos, func(i, j int) bool {
-		if infos[i].Version != infos[j].Version {
-			return infos[i].Version < infos[j].Version
-		}
-		return infos[i].Kind < infos[j].Kind
-	})
+	sort.Slice(infos, func(i, j int) bool { return infos[i].Version < infos[j].Version })
 	return infos, corrupt, nil
 }
 
@@ -679,208 +553,34 @@ func scanLax(fsys faultfs.FS, dir string) ([]FileInfo, []CorruptFile, error) {
 // no loader considers them — but they hold space; persistctl's clean
 // subcommand removes them.
 func Orphans(dir string) ([]string, error) {
-	return OrphansFS(faultfs.OS, dir)
+	return orphans(faultfs.OS, dir)
 }
 
-// OrphansFS is Orphans through an explicit filesystem.
-func OrphansFS(fsys faultfs.FS, dir string) ([]string, error) {
+func orphans(fsys faultfs.FS, dir string) ([]string, error) {
 	names, err := fsys.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("persistmap: %w", err)
 	}
-	var orphans []string
+	var found []string
 	for _, name := range names {
 		if strings.HasSuffix(name, fileExt+".tmp") {
-			orphans = append(orphans, filepath.Join(dir, name))
+			found = append(found, filepath.Join(dir, name))
 		}
 	}
-	return orphans, nil
+	return found, nil
 }
 
-// Chain resolves the newest chain in the directory: the full backup with
-// the highest version, then every diff that links parent-to-child from it.
-// It returns the ordered FileInfos (full first). An ambiguous chain — two
-// diffs claiming the same parent — is an error rather than a guess.
-func (s *Store[V]) Chain() ([]FileInfo, error) {
-	infos, err := ScanFS(s.fs, s.dir)
-	if err != nil {
-		return nil, err
-	}
-	return resolveChain(infos, ^uint64(0))
-}
-
-// ResolveChain resolves the newest chain among already-scanned FileInfos —
-// the codec-free half of Chain, usable by tooling that only has headers.
-func ResolveChain(infos []FileInfo) ([]FileInfo, error) {
-	return resolveChain(infos, ^uint64(0))
-}
-
-// resolveChain picks the newest full at or below target and follows diff
-// links until target (or the chain's end when target is ^0).
-func resolveChain(infos []FileInfo, target uint64) ([]FileInfo, error) {
-	var full *FileInfo
-	for i := range infos {
-		fi := &infos[i]
-		if fi.Kind == FileFull && fi.Version <= target && (full == nil || fi.Version > full.Version) {
-			full = fi
-		}
-	}
-	if full == nil {
-		return nil, fmt.Errorf("%w at or below version %d", ErrNoChain, target)
-	}
-	chain := []FileInfo{*full}
-	cur := full.Version
-	for cur < target {
-		var next *FileInfo
-		for i := range infos {
-			fi := &infos[i]
-			if fi.Kind != FileDiff || fi.Parent != cur {
-				continue
-			}
-			if fi.Version <= fi.Parent {
-				return nil, fmt.Errorf("%w: %s: diff does not advance past its parent", ErrCorrupt, fi.Path)
-			}
-			if next != nil {
-				return nil, fmt.Errorf("persistmap: ambiguous chain: %s and %s both extend version %d",
-					next.Path, fi.Path, cur)
-			}
-			next = fi
-		}
-		if next == nil {
-			if target == ^uint64(0) {
-				break // end of chain
-			}
-			return nil, fmt.Errorf("persistmap: version %d unreachable: chain ends at %d", target, cur)
-		}
-		if target != ^uint64(0) && next.Version > target {
-			return nil, fmt.Errorf("persistmap: version %d unreachable: chain jumps %d→%d",
-				target, cur, next.Version)
-		}
-		chain = append(chain, *next)
-		cur = next.Version
-	}
-	return chain, nil
-}
-
-// Load replays the directory's newest chain — full backup plus every
-// linked diff — into a Backup at the chain's final version. Any damaged
-// link fails the whole load with ErrCorrupt.
+// Load reads the directory's newest full checkpoint. Every checkpoint
+// file is verified first, so a damaged one fails the load with
+// ErrCorrupt (Replay is the recovery path that skips damaged files and
+// reports them); a directory without one fails with ErrNoCheckpoint.
 func (s *Store[V]) Load() (*Backup[V], error) {
-	return s.loadTo(^uint64(0))
-}
-
-// LoadVersion replays the chain up to exactly the given pin version: the
-// newest full at or below it plus the linking diffs. It fails when the
-// stored chain cannot reach that exact version.
-func (s *Store[V]) LoadVersion(version uint64) (*Backup[V], error) {
-	return s.loadTo(version)
-}
-
-func (s *Store[V]) loadTo(target uint64) (*Backup[V], error) {
-	infos, err := ScanFS(s.fs, s.dir)
+	infos, err := scanStrict(s.fs, s.dir)
 	if err != nil {
 		return nil, err
-	}
-	chain, err := resolveChain(infos, target)
-	if err != nil {
-		return nil, err
-	}
-	b, err := s.ReadFull(chain[0].Path)
-	if err != nil {
-		return nil, err
-	}
-	for _, link := range chain[1:] {
-		d, err := s.ReadDiff(link.Path)
-		if err != nil {
-			return nil, err
-		}
-		if b, err = d.Apply(b); err != nil {
-			return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, link.Path, err)
-		}
-	}
-	return b, nil
-}
-
-// rawCodec carries record payloads as opaque bytes under an arbitrary
-// codec name: the substrate of codec-agnostic compaction. Values
-// round-trip byte-identically — no decode, no re-encode — so compacting
-// never changes a record's representation.
-type rawCodec struct{ name string }
-
-func (c rawCodec) Name() string                       { return c.name }
-func (rawCodec) Append(dst, v []byte) ([]byte, error) { return append(dst, v...), nil }
-func (rawCodec) Decode(data []byte) ([]byte, error)   { return append([]byte(nil), data...), nil }
-
-// CompactDir folds the directory's newest chain into one full backup
-// WITHOUT a value codec: records are carried as opaque bytes (the framing
-// is codec-agnostic), so any chain — built-in or custom codec, JSON
-// included — compacts losslessly, byte for byte. This is what external
-// tooling (cmd/persistctl) uses; a Store owner can equally call its typed
-// Compact.
-func CompactDir(dir string) (string, error) {
-	infos, err := Scan(dir)
-	if err != nil {
-		return "", err
 	}
 	if len(infos) == 0 {
-		return "", fmt.Errorf("persistmap: %s: no chain files", dir)
+		return nil, fmt.Errorf("%w in %s", ErrNoCheckpoint, s.dir)
 	}
-	name := infos[0].Codec
-	for _, fi := range infos {
-		if fi.Codec != name {
-			return "", fmt.Errorf("persistmap: %s: mixed codecs %q and %q", dir, name, fi.Codec)
-		}
-	}
-	s := &Store[[]byte]{dir: dir, codec: rawCodec{name: name}, fs: faultfs.OS,
-		writeAttempts: defaultWriteAttempts, writeBackoff: defaultWriteBackoff}
-	return s.Compact()
-}
-
-// Compact folds the newest chain into a single full backup at the chain's
-// final version and removes the links it replaced, bounding both restart
-// cost (one file to replay) and directory growth. The new full is written
-// — and fsynced — before any old link is unlinked, so a crash mid-compact
-// leaves a loadable chain at every instant. It returns the path of the
-// resulting full backup.
-func (s *Store[V]) Compact() (string, error) {
-	chain, err := s.Chain()
-	if err != nil {
-		return "", err
-	}
-	if len(chain) == 1 {
-		return chain[0].Path, nil // already a lone full backup
-	}
-	b, err := s.ReadFull(chain[0].Path)
-	if err != nil {
-		return "", err
-	}
-	for _, link := range chain[1:] {
-		d, err := s.ReadDiff(link.Path)
-		if err != nil {
-			return "", err
-		}
-		if b, err = d.Apply(b); err != nil {
-			return "", fmt.Errorf("%w: %s: %v", ErrCorrupt, link.Path, err)
-		}
-	}
-	path, err := s.WriteFull(b)
-	if err != nil {
-		return "", err
-	}
-	for _, link := range chain {
-		if link.Path == path {
-			continue
-		}
-		if err := s.fs.Remove(link.Path); err != nil {
-			return "", fmt.Errorf("persistmap: compacted but could not remove %s: %w", link.Path, err)
-		}
-	}
-	// Make the removals durable as a unit: the new full's rename was
-	// already synced (writeFile), so after this sync the directory holds
-	// exactly the compacted chain — and before it, at worst the old chain
-	// plus the new full, both loadable.
-	if err := syncDirFS(s.fs, s.dir); err != nil {
-		return "", err
-	}
-	return path, nil
+	return s.ReadFull(infos[len(infos)-1].Path)
 }

@@ -89,189 +89,38 @@ func TestStoreFullRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStoreChainLoad builds full + 3 diffs (one of them zero-change),
-// loads the chain end and every intermediate version, and checks each
-// against the state pinned at that version.
-func TestStoreChainLoad(t *testing.T) {
-	tm := core.New()
-	m := New[int](tm)
-	dir := t.TempDir()
-	s := mustStore[int](t, dir, IntCodec{})
-	clockNoise := core.NewTypedCell(tm, 0)
-
-	for k := 0; k < 32; k++ {
-		if _, err := m.Put(k, k); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pin, err := tm.PinSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := m.BackupAt(pin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.WriteFull(full); err != nil {
-		t.Fatal(err)
-	}
-
-	var checkpoints []*Backup[int]
-	churn := []func(i int) error{
-		func(i int) error { _, err := m.Put(i, 1000+i); return err },
-		func(i int) error { _, err := m.Delete(i * 3); return err },
-		func(i int) error { _, err := m.Put(100+i, i); return err },
-	}
-	for step := 0; step < 3; step++ {
-		if step == 1 {
-			// Zero-change link: advance the clock without touching the map.
-			if err := tm.Atomically(core.Classic, func(tx *core.Tx) error {
-				clockNoise.Store(tx, step)
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			for i := 1; i < 8; i++ {
-				if err := churn[step](i); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		next, err := tm.PinSnapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, err := m.Diff(pin, next)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if step == 1 && d.Len() != 0 {
-			t.Fatalf("zero-change diff has %d entries", d.Len())
-		}
-		if _, err := s.WriteDiff(d); err != nil {
-			t.Fatal(err)
-		}
-		cp, err := m.BackupAt(next)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkpoints = append(checkpoints, cp)
-		pin.Release()
-		pin = next
-	}
-	defer pin.Release()
-
-	end, err := s.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	backupEqual(t, end, checkpoints[len(checkpoints)-1], "chain end")
-
-	for i, cp := range checkpoints {
-		got, err := s.LoadVersion(cp.Version)
-		if err != nil {
-			t.Fatalf("checkpoint %d: %v", i, err)
-		}
-		backupEqual(t, got, cp, "checkpoint")
-	}
-	if _, err := s.LoadVersion(full.Version); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.LoadVersion(end.Version + 1000); err == nil {
-		t.Fatal("LoadVersion reached a version the chain never captured")
-	}
-
-	// Compacting the chain must load identically to replaying it raw.
-	raw, err := s.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	infos, err := Scan(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(infos) != 1 || infos[0].Kind != FileFull {
-		t.Fatalf("after compact: %v, want one full backup", infos)
-	}
-	compacted, err := s.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	backupEqual(t, compacted, raw, "compacted")
-
-	// Restoring the compacted load into a fresh TM equals the raw chain.
-	tm2 := core.New()
-	m2 := New[int](tm2)
-	if err := m2.Restore(compacted); err != nil {
-		t.Fatal(err)
-	}
-	raw.Ascend(func(k, v int) bool {
-		gv, ok, err := m2.Get(k)
-		if err != nil || !ok || gv != v {
-			t.Fatalf("restored key %d = (%d,%v,%v), want (%d,true,nil)", k, gv, ok, err, v)
-		}
-		return true
-	})
-}
-
 // TestStoreCorruptionRejected is the durability table test: for every file
-// of a real chain and every damage mode — truncation at several lengths,
-// bit flips spread across header, body and trailer — the load must fail
-// with ErrCorrupt, never produce a silently wrong map.
+// of a real checkpoint directory — two fulls, the older one not yet
+// removed — and every damage mode — truncation at several lengths, bit
+// flips spread across header, body and trailer — the load must fail with
+// ErrCorrupt, never produce a silently wrong map.
 func TestStoreCorruptionRejected(t *testing.T) {
 	tm := core.New()
 	m := New[int](tm)
 	dir := t.TempDir()
 	s := mustStore[int](t, dir, IntCodec{})
 
-	for k := 0; k < 24; k++ {
-		if _, err := m.Put(k, 7777+k); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pin, err := tm.PinSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := m.BackupAt(pin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.WriteFull(full); err != nil {
-		t.Fatal(err)
-	}
 	for step := 0; step < 2; step++ {
-		for i := 0; i < 6; i++ {
-			if _, err := m.Put(10*step+i, i-step); err != nil {
+		for i := 0; i < 24; i++ {
+			if _, err := m.Put(10*step+i, 7777+i-step); err != nil {
 				t.Fatal(err)
 			}
 		}
-		next, err := tm.PinSnapshot()
+		b, err := m.Backup()
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := m.Diff(pin, next)
-		if err != nil {
+		if _, err := s.WriteFull(b); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.WriteDiff(d); err != nil {
-			t.Fatal(err)
-		}
-		pin.Release()
-		pin = next
 	}
-	pin.Release()
 
 	infos, err := Scan(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(infos) != 3 {
-		t.Fatalf("chain has %d files, want 3", len(infos))
+	if len(infos) != 2 {
+		t.Fatalf("directory has %d checkpoints, want 2", len(infos))
 	}
 
 	pristine := make(map[string][]byte)
@@ -319,18 +168,11 @@ func TestStoreCorruptionRejected(t *testing.T) {
 			if err := os.WriteFile(fi.Path, c.bytes, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			got, err := s.Load()
-			if err == nil {
-				// A load that still succeeds must mean the damaged file fell
-				// out of the resolved chain entirely (e.g. an unparseable
-				// header) — it must NEVER be a wrong map. Scan rejects
-				// damaged headers, so by construction err != nil here; keep
-				// the belt anyway.
-				backupEqual(t, got, want, name+" "+c.label)
-				t.Fatalf("%s %s: load succeeded on a damaged chain", name, c.label)
+			if _, err := s.Load(); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s %s: Load = %v, want ErrCorrupt", name, c.label, err)
 			}
-			if !errors.Is(err, ErrCorrupt) && !strings.Contains(err.Error(), "no full backup") {
-				t.Fatalf("%s %s: error %v does not wrap ErrCorrupt", name, c.label, err)
+			if _, err := VerifyFile(fi.Path); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s %s: VerifyFile = %v, want ErrCorrupt", name, c.label, err)
 			}
 		}
 	}
@@ -338,7 +180,7 @@ func TestStoreCorruptionRejected(t *testing.T) {
 	if got, err := s.Load(); err != nil {
 		t.Fatal(err)
 	} else {
-		backupEqual(t, got, want, "restored pristine chain")
+		backupEqual(t, got, want, "restored pristine checkpoints")
 	}
 }
 
@@ -356,8 +198,8 @@ func itoa(n int) string {
 	return string(b[i:])
 }
 
-// TestStoreCodecMismatch: a chain written with one codec must refuse to
-// load under another, by header name, before decoding anything.
+// TestStoreCodecMismatch: a checkpoint written with one codec must refuse
+// to load under another, by header name, before decoding anything.
 func TestStoreCodecMismatch(t *testing.T) {
 	tm := core.New()
 	m := New[int](tm)
@@ -423,76 +265,11 @@ func TestStoreStringAndJSONCodecs(t *testing.T) {
 	backupEqual(t, gj, bj, "json codec")
 }
 
-// TestCompactDirIsLossless: codec-agnostic compaction must carry record
-// bytes verbatim — in particular, a JSON chain holding integers above
-// 2^53 (which a decode-into-any round trip would mangle through float64)
-// compacts byte-for-byte losslessly.
-func TestCompactDirIsLossless(t *testing.T) {
-	type rec struct{ ID uint64 }
-	tm := core.New()
-	m := New[rec](tm)
-	dir := t.TempDir()
-	s := mustStore[rec](t, dir, JSONCodec[rec]{})
-
-	big := uint64(1)<<60 + 1
-	if _, err := m.Put(1, rec{ID: big}); err != nil {
-		t.Fatal(err)
-	}
-	pin, err := tm.PinSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := m.BackupAt(pin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.WriteFull(b); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Put(2, rec{ID: big + 1}); err != nil {
-		t.Fatal(err)
-	}
-	next, err := tm.PinSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := m.Diff(pin, next)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.WriteDiff(d); err != nil {
-		t.Fatal(err)
-	}
-	pin.Release()
-	next.Release()
-
-	if _, err := CompactDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	infos, err := Scan(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(infos) != 1 || infos[0].Kind != FileFull || infos[0].Codec != "json" {
-		t.Fatalf("after CompactDir: %v, want one full json backup", infos)
-	}
-	got, err := s.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, want := range map[int]uint64{1: big, 2: big + 1} {
-		v, ok := got.Get(k)
-		if !ok || v.ID != want {
-			t.Fatalf("compacted key %d = (%+v,%v), want ID %d", k, v, ok, want)
-		}
-	}
-}
-
-// TestChainReloadUnderFire is the PR's acceptance fence: with 8 concurrent
-// committers running the whole time, a chain of one full backup plus >= 3
-// incremental diffs is written to disk, reloaded, and must be binding-for-
-// binding identical to a direct full backup taken at the last pin. Run
-// with -race.
+// TestChainReloadUnderFire: with 8 concurrent committers running the
+// whole time, four checkpoint cycles each write a full taken at a pin;
+// every file, reloaded, must be binding-for-binding identical to a direct
+// backup taken at the same pin while the writers keep going, and must
+// restore into a FRESH TM identically. Run with -race.
 func TestChainReloadUnderFire(t *testing.T) {
 	const committers = 8
 	tm := core.New()
@@ -526,69 +303,62 @@ func TestChainReloadUnderFire(t *testing.T) {
 			}
 		}(w)
 	}
+	defer func() {
+		stop.Store(true)
+		wg.Wait()
+	}()
 
-	pin, err := tm.PinSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := m.BackupAt(pin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.WriteFull(full); err != nil {
-		t.Fatal(err)
-	}
-	diffs := 0
-	for diffs < 4 {
-		next, err := tm.PinSnapshot()
+	for cycle := 0; cycle < 4; cycle++ {
+		pin, err := tm.PinSnapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if next.Version() == pin.Version() {
-			next.Release()
-			continue // no commits landed between the pins yet
-		}
-		d, err := m.Diff(pin, next)
+		b, err := m.BackupAt(pin)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.WriteDiff(d); err != nil {
+		path, err := s.WriteFull(b)
+		if err != nil {
 			t.Fatal(err)
 		}
-		diffs++
+		direct, err := m.BackupAt(pin)
 		pin.Release()
-		pin = next
-	}
-	direct, err := m.BackupAt(pin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stop.Store(true)
-	wg.Wait()
-	defer pin.Release()
-
-	loaded, err := s.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	backupEqual(t, loaded, direct, "chain reload vs direct backup")
-
-	// And the reload restores into a FRESH TM identically.
-	tm2 := core.New()
-	m2 := New[int](tm2)
-	if err := m2.Restore(loaded); err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	direct.Ascend(func(k, v int) bool {
-		gv, ok, err := m2.Get(k)
-		if err != nil || !ok || gv != v {
-			t.Fatalf("fresh-TM key %d = (%d,%v,%v), want (%d,true,nil)", k, gv, ok, err, v)
+		if err != nil {
+			t.Fatal(err)
 		}
-		n++
-		return true
-	})
-	if got, err := m2.Len(); err != nil || got != n {
-		t.Fatalf("fresh-TM len = (%d,%v), want %d", got, err, n)
+		loaded, err := s.ReadFull(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		backupEqual(t, loaded, direct, "checkpoint reload vs direct backup")
+
+		tm2 := core.New()
+		m2 := New[int](tm2)
+		if err := m2.Restore(loaded); err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		direct.Ascend(func(k, v int) bool {
+			gv, ok, err := m2.Get(k)
+			if err != nil || !ok || gv != v {
+				t.Fatalf("cycle %d: fresh-TM key %d = (%d,%v,%v), want (%d,true,nil)", cycle, k, gv, ok, err, v)
+			}
+			n++
+			return true
+		})
+		if got, err := m2.Len(); err != nil || got != n {
+			t.Fatalf("cycle %d: fresh-TM len = (%d,%v), want %d", cycle, got, err, n)
+		}
+	}
+	latest, err := s.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	infos, err := Scan(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if latest.Version != infos[len(infos)-1].Version {
+		t.Fatalf("Load read version %d, newest checkpoint is %d", latest.Version, infos[len(infos)-1].Version)
 	}
 }

@@ -11,12 +11,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/faultfs"
 	"repro/internal/persistmap/walsync"
-	"repro/internal/txstruct"
 )
 
-// This file is the write-ahead half of always-on durability: where the
-// checkpoint chain (store.go) makes PERIODIC cuts durable, the WAL makes
-// every COMMIT durable. A Map with a WAL attached encodes each put and
+// This file is the write-ahead half of always-on durability: where full
+// checkpoints (store.go) make PERIODIC cuts durable, the WAL makes every
+// COMMIT durable. A Map with a WAL attached encodes each put and
 // delete straight into the transaction handle's redo log for the WAL
 // (core.Tx.Redo) — the record's frame, with its version and count fields
 // reserved. Only a commit hands the log over (WAL.CommitRedo): the frame
@@ -25,9 +24,9 @@ import (
 // into a single fsync; the daemon's ticket stays in the handle, and the
 // TM's durable-ack barrier (WAL.Ack) redeems it. An aborted attempt's log
 // is simply emptied with the handle's other per-attempt state. Recovery
-// (Store.Replay) loads the newest checkpoint chain and re-applies the WAL
-// tail in commit-version order through the chunked RestoreDiffTx
-// live-apply path.
+// (Store.Replay) loads the newest full checkpoint and re-applies the WAL
+// tail in commit-version order through the chunked live-apply path
+// (Map.applyOps).
 //
 // Segment layout (all integers little-endian):
 //
@@ -144,7 +143,7 @@ type WAL[V any] struct {
 }
 
 // OpenWAL starts a write-ahead log (and its group-commit daemon) in the
-// store's directory, alongside the checkpoint chain. Existing segments
+// store's directory, alongside the full checkpoints. Existing segments
 // are left untouched — a fresh segment is opened after them — so opening
 // a WAL never destroys a crashed tail recovery has not read yet.
 func (s *Store[V]) OpenWAL(opts WALOptions) (*WAL[V], error) {
@@ -260,7 +259,7 @@ func (w *WAL[V]) Stats() walsync.Stats { return w.d.Stats() }
 func (w *WAL[V]) Err() error { return w.d.Err() }
 
 // TrimTo removes sealed segments every record of which has commit version
-// <= ver — the aging-out of WAL history into the checkpoint chain: once a
+// <= ver — the aging-out of WAL history into the checkpoints: once a
 // full checkpoint at ver is durable, those records are redundant (the
 // checkpoint's pinned cut contains every commit at or below its version).
 // The open segment and any segment containing a newer record are kept; a
@@ -566,40 +565,39 @@ func VerifyWALSegment(path string) (WALSegmentInfo, error) {
 	return readWALInfo(faultfs.OS, segmentOf(path), true)
 }
 
-// ReplayInfo summarizes a Store.Replay: what the chain provided, what
-// the WAL tail added, and where recovery stopped.
+// ReplayInfo summarizes a Store.Replay: what the checkpoint provided,
+// what the WAL tail added, and where recovery stopped.
 type ReplayInfo struct {
-	// ChainVersion is the newest checkpoint chain's version (0: no chain,
-	// recovery started from an empty map).
-	ChainVersion uint64
+	// CheckpointVersion is the version of the full checkpoint recovery
+	// started from (0: none, recovery started from an empty map).
+	CheckpointVersion uint64
 	// Segments and Records count the WAL segments read and the intact
 	// records found; Applied counts the records with versions past the
-	// chain that were re-applied.
+	// checkpoint that were re-applied.
 	Segments, Records, Applied int
-	// Version is the highest commit version recovered (the chain's when
-	// the WAL added nothing).
+	// Version is the highest commit version recovered (the checkpoint's
+	// when the WAL added nothing).
 	Version uint64
 	// TornTail reports that a segment ended in a torn record — the
 	// expected shape after a mid-batch kill or a poisoned daemon;
 	// everything before the tear was applied.
 	TornTail bool
-	// SkippedCorrupt lists checkpoint files the chain resolution skipped
-	// as damaged: recovery fell back to the newest chain the REMAINING
-	// files resolve. When the skipped file was the newest full and the
-	// WAL had already been trimmed past the previous checkpoint, commits
-	// between the two checkpoints may be unrecoverable — non-empty
-	// SkippedCorrupt is a restore-from-here warning, not business as
-	// usual.
+	// SkippedCorrupt lists checkpoint files recovery skipped as damaged:
+	// it fell back to the newest full among the REMAINING files. When the
+	// skipped file was the newest full and the WAL had already been
+	// trimmed past the previous checkpoint, commits between the two
+	// checkpoints may be unrecoverable — non-empty SkippedCorrupt is a
+	// restore-from-here warning, not business as usual.
 	SkippedCorrupt []string
 }
 
-// Replay is crash recovery: load the newest checkpoint chain into m via
+// Replay is crash recovery: load the newest full checkpoint into m via
 // the chunked restore path, then re-apply the WAL tail — every intact
-// record with a commit version past the chain — in commit-version order
-// through RestoreDiffTx. Damaged checkpoint files are skipped (reported
-// in SkippedCorrupt) and the chain re-resolved from what remains, so one
-// corrupt newest full degrades recovery instead of failing it. The
-// newest WAL segment tolerates any damage (a crash legally leaves
+// record with a commit version past the checkpoint — in commit-version
+// order through the chunked live-apply path. Damaged checkpoint files are
+// skipped (reported in SkippedCorrupt) and the newest intact full is
+// used, so one corrupt newest full degrades recovery instead of failing
+// it. The newest WAL segment tolerates any damage (a crash legally leaves
 // arbitrary garbage past the synced prefix); sealed segments tolerate
 // only TORN tails — a truncation is what a poisoned daemon's unsynced
 // bytes legally leave — while full-length corruption there is a bit flip
@@ -615,34 +613,18 @@ func (s *Store[V]) Replay(m *Map[V]) (*ReplayInfo, error) {
 	for _, c := range corrupt {
 		info.SkippedCorrupt = append(info.SkippedCorrupt, c.Path)
 	}
-	chain, cerr := resolveChain(infos, ^uint64(0))
-	switch {
-	case cerr == nil:
-		b, lerr := s.ReadFull(chain[0].Path)
-		if lerr != nil {
-			return nil, lerr
+	// With no intact checkpoint (empty directory, or every full damaged)
+	// recovery starts empty, from the WAL alone.
+	if len(infos) > 0 {
+		b, err := s.ReadFull(infos[len(infos)-1].Path)
+		if err != nil {
+			return nil, err
 		}
-		for _, link := range chain[1:] {
-			d, derr := s.ReadDiff(link.Path)
-			if derr != nil {
-				return nil, derr
-			}
-			if b, lerr = d.Apply(b); lerr != nil {
-				return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, link.Path, lerr)
-			}
+		if err := m.RestoreFullTx(b); err != nil {
+			return nil, err
 		}
-		if rerr := m.RestoreFullTx(b); rerr != nil {
-			return nil, rerr
-		}
-		info.ChainVersion = b.Version
+		info.CheckpointVersion = b.Version
 		info.Version = b.Version
-	case errors.Is(cerr, ErrNoChain):
-		// No usable checkpoint (empty directory, or every full damaged):
-		// recover from the WAL alone, starting empty.
-	default:
-		// Ambiguity or a structurally-broken link among READABLE files is
-		// not something to guess around.
-		return nil, cerr
 	}
 	segs, err := walsync.ScanSegmentsFS(s.fs, s.dir)
 	if err != nil {
@@ -703,9 +685,13 @@ func (s *Store[V]) Replay(m *Map[V]) (*ReplayInfo, error) {
 	// a version — GVPass adopts the winner's version, and such commits
 	// have disjoint write sets — keep their enqueue order.
 	sort.SliceStable(tail, func(i, j int) bool { return tail[i].ver < tail[j].ver })
-	d := &Diff[V]{}
+	var (
+		redoKeys []int
+		redoVals []V
+		redoDels []bool
+	)
 	for _, rec := range tail {
-		if rec.ver <= info.ChainVersion {
+		if rec.ver <= info.CheckpointVersion {
 			// Already inside the checkpoint's pinned cut.
 			continue
 		}
@@ -713,17 +699,11 @@ func (s *Store[V]) Replay(m *Map[V]) (*ReplayInfo, error) {
 		if rec.ver > info.Version {
 			info.Version = rec.ver
 		}
-		for i := rec.lo; i < rec.hi; i++ {
-			d.keys = append(d.keys, keys[i])
-			d.vals = append(d.vals, vals[i])
-			if dels[i] {
-				d.kinds = append(d.kinds, txstruct.DiffDeleted)
-			} else {
-				d.kinds = append(d.kinds, txstruct.DiffChanged)
-			}
-		}
+		redoKeys = append(redoKeys, keys[rec.lo:rec.hi]...)
+		redoVals = append(redoVals, vals[rec.lo:rec.hi]...)
+		redoDels = append(redoDels, dels[rec.lo:rec.hi]...)
 	}
-	if err := m.RestoreDiffTx(d); err != nil {
+	if err := m.applyOps(redoKeys, redoVals, redoDels); err != nil {
 		return nil, err
 	}
 	return info, nil

@@ -83,8 +83,8 @@ func TestWALReplayRoundTrip(t *testing.T) {
 
 	m2, info := replayInto(t, dir)
 	mapEquals(t, m2, want, "replayed")
-	if info.ChainVersion != 0 {
-		t.Fatalf("ChainVersion = %d, want 0 (no checkpoint)", info.ChainVersion)
+	if info.CheckpointVersion != 0 {
+		t.Fatalf("CheckpointVersion = %d, want 0 (no checkpoint)", info.CheckpointVersion)
 	}
 	if info.TornTail {
 		t.Fatal("clean shutdown reported a torn tail")
@@ -153,7 +153,7 @@ func TestWALCheckpointAndTrim(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Post-checkpoint tail: new writes replay on top of the chain.
+	// Post-checkpoint tail: new writes replay on top of the checkpoint.
 	for k := 6; k < 18; k++ {
 		if _, err := m.Put(k, 7000+k); err != nil {
 			t.Fatal(err)
@@ -187,8 +187,8 @@ func TestWALCheckpointAndTrim(t *testing.T) {
 
 	m2, info := replayInto(t, dir)
 	mapEquals(t, m2, want, "checkpoint+tail replay")
-	if info.ChainVersion != full.Version {
-		t.Fatalf("ChainVersion = %d, want %d", info.ChainVersion, full.Version)
+	if info.CheckpointVersion != full.Version {
+		t.Fatalf("CheckpointVersion = %d, want %d", info.CheckpointVersion, full.Version)
 	}
 	if info.Applied != 13 {
 		t.Fatalf("Applied = %d, want the 13 post-checkpoint commits", info.Applied)

@@ -42,7 +42,7 @@ import (
 	"repro/internal/faultfs"
 )
 
-// Ext is the segment file extension. persistmap's checkpoint chain uses
+// Ext is the segment file extension. persistmap's full checkpoints use
 // .pmb in the same directory; the distinct extension keeps each scanner
 // blind to the other's files.
 const Ext = ".wal"

@@ -49,13 +49,14 @@ type crashAck struct {
 
 // ExploreCrashPoints is the durability analogue of ExploreTiny: instead
 // of enumerating interleavings it enumerates POWER CUTS. A seeded,
-// serial persist run — durable WAL commits interleaved with checkpoint
-// cycles (fulls, diffs, TrimTo, a final Compact) — executes against a
-// tracing FaultFS, recording the acked commit prefix at every filesystem
-// operation boundary. The explorer then simulates a crash at EVERY
-// boundary (and, where unsynced bytes were pending, a sample of torn
-// suffixes of them) by materializing the crash image — synced bytes
-// only — and replaying it into a fresh TM. The invariant is the one the
+// serial persist run — durable WAL commits interleaved with the store's
+// checkpoint cycle (pin, full checkpoint, TrimTo, release, then removal of
+// the superseded full) — executes against a tracing FaultFS, recording
+// the acked commit prefix at every filesystem operation boundary. The
+// explorer then simulates a crash at EVERY boundary (and, where unsynced
+// bytes were pending, a sample of torn suffixes of them) by
+// materializing the crash image — synced bytes only — and replaying it
+// into a fresh TM. The invariant is the one the
 // WAL's ack contract promises: the recovered map must be byte-for-byte
 // the state of some commit prefix that CONTAINS every commit acked
 // before the cut. Recovering more than was acked is legal (a record can
@@ -77,7 +78,7 @@ func ExploreCrashPoints(name string, cfg CrashPointConfig, opts ...core.Option) 
 	if cfg.TornSamples <= 0 {
 		cfg.TornSamples = 3
 	}
-	const dir = "chain"
+	const dir = "ckpt"
 
 	// Recorded run: everything the durability stack writes goes through
 	// the tracing fs; nothing touches the real disk.
@@ -97,8 +98,7 @@ func ExploreCrashPoints(name string, cfg CrashPointConfig, opts ...core.Option) 
 	state := map[int]int{}
 	acks := []crashAck{{0, maps.Clone(state)}}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	var pin *core.SnapshotPin
-	cycles := 0
+	var prev string // the newest full checkpoint, superseded by the next
 	for i := 0; i < cfg.Commits; i++ {
 		key := rng.Intn(cfg.Keys)
 		if rng.Intn(4) == 0 && len(state) > 0 {
@@ -117,50 +117,24 @@ func ExploreCrashPoints(name string, cfg CrashPointConfig, opts ...core.Option) 
 		// synced: this boundary is an ACKED commit prefix.
 		acks = append(acks, crashAck{ffs.Ops(), maps.Clone(state)})
 
-		// Checkpoint cadence: a chain link every 7 commits, every third
-		// link a full (which also ages covered records out of the WAL).
+		// A checkpoint every 7 commits, the store's cycle exactly: the
+		// removal of the superseded full comes after the new one and the
+		// trim are durable, so a cut between them finds both fulls.
 		if (i+1)%7 == 0 {
-			next, err := tm.PinSnapshot()
+			path, err := checkpoint(tm, m, s, w)
 			if err != nil {
 				return nil, err
 			}
-			if pin == nil || cycles%3 == 0 {
-				b, err := m.BackupAt(next)
-				if err != nil {
-					next.Release()
+			if prev != "" && prev != path {
+				if err := ffs.Remove(prev); err != nil {
 					return nil, err
 				}
-				if _, err := s.WriteFull(b); err != nil {
-					next.Release()
-					return nil, err
-				}
-				if _, err := w.TrimTo(b.Version); err != nil {
-					next.Release()
-					return nil, err
-				}
-			} else {
-				d, err := m.Diff(pin, next)
-				if err != nil {
-					next.Release()
-					return nil, err
-				}
-				if _, err := s.WriteDiff(d); err != nil {
-					next.Release()
+				if err := ffs.SyncDir(dir); err != nil {
 					return nil, err
 				}
 			}
-			if pin != nil {
-				pin.Release()
-			}
-			pin = next
-			cycles++
+			prev = path
 		}
-	}
-	if _, err := s.Compact(); err != nil {
-		return nil, fmt.Errorf("crashpoints: compact: %w", err)
-	}
-	if pin != nil {
-		pin.Release()
 	}
 	if err := w.Close(); err != nil {
 		return nil, fmt.Errorf("crashpoints: wal close: %w", err)
@@ -195,6 +169,29 @@ func ExploreCrashPoints(name string, cfg CrashPointConfig, opts ...core.Option) 
 		}
 	}
 	return rep, nil
+}
+
+// checkpoint is one checkpoint cycle: pin, copy at the pin, write the full
+// checkpoint, trim the WAL to its version, release. It returns the full's
+// path.
+func checkpoint(tm *core.TM, m *persistmap.Map[int], s *persistmap.Store[int], w *persistmap.WAL[int]) (string, error) {
+	pin, err := tm.PinSnapshot()
+	if err != nil {
+		return "", err
+	}
+	defer pin.Release()
+	b, err := m.BackupAt(pin)
+	if err != nil {
+		return "", err
+	}
+	path, err := s.WriteFull(b)
+	if err != nil {
+		return "", err
+	}
+	if _, err := w.TrimTo(b.Version); err != nil {
+		return "", err
+	}
+	return path, nil
 }
 
 // tornSamples picks up to n distinct torn-suffix lengths in [1, avail]:

@@ -35,7 +35,7 @@ func TestExploreCrashPoints(t *testing.T) {
 
 // TestExploreCrashPointsSeeds varies the seed so checkpoint cadence and
 // op mix land the cuts in different regions (mid-segment, mid-roll,
-// mid-compact) across runs.
+// mid-removal of a superseded full) across runs.
 func TestExploreCrashPointsSeeds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("seed sweep is the long variant")

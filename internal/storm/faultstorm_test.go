@@ -71,7 +71,7 @@ func runFaultSchedule(t *testing.T, seed uint64, opts ...core.Option) {
 	m.AttachWAL(w, true)
 
 	// Warmup on its own key range, fault-free: all acks must land, and a
-	// first checkpoint gives recovery a chain to stand on.
+	// first checkpoint gives recovery a full to stand on.
 	for k := 0; k < warmKeys; k++ {
 		if _, err := m.Put(k, 1000+k); err != nil {
 			t.Fatalf("warmup put %d: %v", k, err)
@@ -144,8 +144,8 @@ func runFaultSchedule(t *testing.T, seed uint64, opts ...core.Option) {
 	}
 
 	// A post-storm checkpoint attempt under the same schedule: allowed to
-	// fail (injected), never allowed to wedge the chain (the replay below
-	// proves the directory stayed loadable either way).
+	// fail (injected), never allowed to wedge the directory (the replay
+	// below proves it stayed loadable either way).
 	if pin, err := tm.PinSnapshot(); err == nil {
 		if b, err := m.BackupAt(pin); err == nil {
 			_, _ = s.WriteFull(b)

@@ -38,11 +38,11 @@ const (
 	// conditional add(Key): one abstract op whose two observations must
 	// hold at one serialization instant (composition atomicity).
 	OpAddIfAbsent
-	// OpBackup marks one backup-pipeline cycle of the persist workload: a
-	// pin plus a full or diff chain link written to disk. It is recorded
-	// with TxID 0 (the cycle spans many snapshot transactions, none of
-	// which serializes an abstract map operation), so the history checker
-	// never joins it; it exists so the cycle enters the seeded input
+	// OpBackup marks one checkpoint cycle of the persist workload: a pin
+	// plus a full checkpoint written to disk and the WAL trimmed to it. It
+	// is recorded with TxID 0 (the cycle spans many snapshot transactions,
+	// none of which serializes an abstract map operation), so the history
+	// checker never joins it; it exists so the cycle enters the seeded input
 	// digest and the report's op count.
 	OpBackup
 	// OpDetach marks one privatization cycle of the privatize workload:
@@ -483,8 +483,8 @@ func checkMapModel(log *history.ExecLog, recs []OpRecord) (map[int]int, error) {
 
 // mapTimeline replays the committed put/delete updaters in serialization
 // order into a per-key state timeline: the oracle the persist workload
-// reloads its backup chains against — tl.at(key, pinVersion) is the
-// model's binding exactly at a chain link's pin instant. It assumes the
+// reloads its checkpoints against — tl.at(key, pinVersion) is the model's
+// binding exactly at a checkpoint's pin instant. It assumes the
 // records already passed checkMapModel (it replays without re-checking).
 func mapTimeline(log *history.ExecLog, recs []OpRecord) *keyTimeline {
 	ctx := newReplayCtx(log, recs)

@@ -16,13 +16,13 @@ import (
 
 // persistWorkload is the crash-recovery storm: seeded map mutations (the
 // treemap workload's op mix, checked by the same cross-semantics model)
-// interleaved with backup-pipeline cycles that write a generation chain —
-// full backups plus pin-to-pin incremental diffs — to a scratch directory
-// on real disk. The durability check then plays the crash: every chain
-// checkpoint is reloaded from the FILES into a FRESH TM (nothing shared
-// with the storm's runtime but the bytes on disk) and must be binding-for-
-// binding the model's state at exactly that checkpoint's pin version. A
-// chain that tore a cut, misordered a link or lost a record fails the same
+// interleaved with the store's checkpoint cycle — pin, copy at the pin,
+// write a full checkpoint to a scratch directory on real disk, trim the
+// WAL to it, release. The durability check then plays the crash: every
+// full checkpoint is reloaded from the FILES into a FRESH TM (nothing
+// shared with the storm's runtime but the bytes on disk) and must be
+// binding-for-binding the model's state at exactly that checkpoint's pin
+// version. A checkpoint that tore a cut or lost a record fails the same
 // harness verdict that catches opacity violations — durability inherits
 // the storm's oracle instead of ad-hoc assertions.
 type persistWorkload struct {
@@ -46,25 +46,18 @@ type persistWorkload struct {
 	// Burst-audit results, filled by check for notes.
 	walAcked, walLost int
 
-	// The backup pipeline is inherently sequential (each diff's parent is
-	// the previous link's pin), so concurrent backup steps serialize here;
-	// map mutations never touch the mutex.
-	mu     sync.Mutex
-	store  *persistmap.Store[int]
-	pin    *core.SnapshotPin // the last link's pin, kept live for the next diff
-	cycles int
-	fulls  int
-	diffs  int
-	skips  int           // cycles skipped because no commit landed since the last link
-	chain  []persistLink // checkpoints, in link order
+	// Checkpoint cycles serialize here, as one checkpointer would run
+	// them; map mutations never touch the mutex.
+	mu    sync.Mutex
+	store *persistmap.Store[int]
+	fulls []persistFull // written checkpoints, oldest first
 }
 
-// persistLink is one written chain link: the checkpoint the durability
-// check replays to.
-type persistLink struct {
+// persistFull is one written full checkpoint: what the durability check
+// reloads and holds to the model.
+type persistFull struct {
 	version uint64
 	path    string
-	full    bool
 }
 
 func newPersistWorkload(tm *core.TM, keys int) (*persistWorkload, error) {
@@ -102,17 +95,13 @@ func newPersistWorkload(tm *core.TM, keys int) (*persistWorkload, error) {
 
 func (w *persistWorkload) name() string { return "persist" }
 
-// cleanup releases the chain pin and removes the scratch directory.
-// Idempotent; finishReport runs it after every storm (check included, and
-// the error paths check never sees), and the shrinker's replay-capability
-// probe runs it on workloads it only constructed.
+// cleanup closes the WAL and removes the scratch directory. Idempotent;
+// finishReport runs it after every storm (check included, and the error
+// paths check never sees), and the shrinker's replay-capability probe
+// runs it on workloads it only constructed.
 func (w *persistWorkload) cleanup() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.pin != nil {
-		w.pin.Release()
-		w.pin = nil
-	}
 	if w.wal != nil {
 		// ErrClosed after an injected crash is the expected verdict.
 		_ = w.wal.Close()
@@ -148,8 +137,8 @@ func (w *persistWorkload) step(rng *rand.Rand, mix Mix) (OpRecord, error) {
 	case roll < 92:
 		return w.exec(mix.pick(rng, reads), Op{Kind: OpLen})
 	default:
-		// One backup-pipeline cycle. It spans many snapshot transactions
-		// and writes files, but serializes no abstract map operation, so
+		// One checkpoint cycle. It spans many snapshot transactions and
+		// writes files, but serializes no abstract map operation, so
 		// it is recorded with TxID 0 — the checker never joins it; only
 		// the seeded digest and the op count see it.
 		if err := w.backupCycle(); err != nil {
@@ -186,79 +175,40 @@ func (w *persistWorkload) exec(sem core.Semantics, op Op) (OpRecord, error) {
 	return OpRecord{TxID: txid, Sem: sem, Ops: []Op{op}}, err
 }
 
-// backupCycle extends the on-disk chain by one link: the first cycle (and
-// every fourth after it) writes a full backup, the rest write the
-// incremental diff against the previous link's pin. The previous pin is
-// released only after the new link is durably on disk, so the chain's
-// parent version is always a pin that was live while its diff was walked.
+// backupCycle is one checkpoint cycle, the one the store runs: pin, copy
+// the map at the pin, write the full checkpoint, trim the WAL to its
+// version, release. No pin outlives the cycle. A cycle whose pin sees no
+// commit since the last checkpoint writes nothing: that checkpoint
+// already holds this cut.
 func (w *persistWorkload) backupCycle() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	next, err := w.tm.PinSnapshot()
+	pin, err := w.tm.PinSnapshot()
 	if err != nil {
 		return err
 	}
-	if w.pin != nil && next.Version() == w.pin.Version() {
-		// No commit landed since the last link; a zero-advance diff would
-		// make the chain ambiguous, so the cycle is a no-op.
-		next.Release()
-		w.skips++
+	defer pin.Release()
+	if n := len(w.fulls); n > 0 && w.fulls[n-1].version == pin.Version() {
 		return nil
 	}
-	link := persistLink{version: next.Version()}
-	if w.pin == nil || w.cycles%4 == 0 {
-		b, err := w.m.BackupAt(next)
-		if err != nil {
-			next.Release()
-			return err
-		}
-		path, err := w.store.WriteFull(b)
-		if err != nil {
-			next.Release()
-			return err
-		}
-		link.path, link.full = path, true
-		w.fulls++
-		// The full checkpoint covers every commit at or below its pin
-		// version, so WAL segments whose records are all inside it are
-		// redundant history: age them out of the log.
-		if _, err := w.wal.TrimTo(link.version); err != nil {
-			next.Release()
-			return err
-		}
-	} else {
-		d, err := w.m.Diff(w.pin, next)
-		if err != nil {
-			next.Release()
-			return err
-		}
-		path, err := w.store.WriteDiff(d)
-		if err != nil {
-			next.Release()
-			return err
-		}
-		link.path = path
-		w.diffs++
+	b, err := w.m.BackupAt(pin)
+	if err != nil {
+		return err
 	}
-	if w.pin != nil {
-		w.pin.Release()
+	path, err := w.store.WriteFull(b)
+	if err != nil {
+		return err
 	}
-	w.pin = next
-	w.cycles++
-	w.chain = append(w.chain, link)
+	// The checkpoint covers every commit at or below its pin version, so
+	// WAL segments whose records are all inside it are redundant history.
+	if _, err := w.wal.TrimTo(b.Version); err != nil {
+		return err
+	}
+	w.fulls = append(w.fulls, persistFull{version: b.Version, path: path})
 	return nil
 }
 
 func (w *persistWorkload) check(log *history.ExecLog, recs []OpRecord) error {
-	// The chain pin is done parenting diffs; the scratch directory itself
-	// is removed by cleanup after the check (finishReport's defer).
-	w.mu.Lock()
-	if w.pin != nil {
-		w.pin.Release()
-		w.pin = nil
-	}
-	w.mu.Unlock()
-
 	// Layer 1: the live map's cross-semantics model check (identical to
 	// the treemap workload's oracle).
 	vals, err := checkMapModel(log, recs)
@@ -285,36 +235,23 @@ func (w *persistWorkload) check(log *history.ExecLog, recs []OpRecord) error {
 		}
 	}
 
-	// Layer 2: durability. Every chain checkpoint reloads from disk into a
+	// Layer 2: durability. Every full checkpoint reloads from disk into a
 	// FRESH TM and must equal the model's state at its pin version.
-	if w.fulls == 0 || w.diffs == 0 {
-		return fmt.Errorf("persist: vacuous run: %d full(s), %d diff(s) written (%d cycles skipped)",
-			w.fulls, w.diffs, w.skips)
+	if len(w.fulls) < 2 {
+		return fmt.Errorf("persist: vacuous run: %d full checkpoint(s) written, want at least 2", len(w.fulls))
 	}
 	tl := mapTimeline(log, recs)
-	// The chain is replayed incrementally — each link read once, diffs
-	// applied on top of the running state — so the check is linear in
-	// total chain bytes rather than checkpoints × chain bytes.
-	var cur *persistmap.Backup[int]
-	for i, link := range w.chain {
-		var err error
-		if link.full {
-			cur, err = w.store.ReadFull(link.path)
-		} else {
-			var d *persistmap.Diff[int]
-			if d, err = w.store.ReadDiff(link.path); err == nil {
-				cur, err = d.Apply(cur)
-			}
-		}
+	for i, f := range w.fulls {
+		b, err := w.store.ReadFull(f.path)
 		if err != nil {
-			return fmt.Errorf("persist: reload of chain checkpoint %d (version %d): %w", i, link.version, err)
+			return fmt.Errorf("persist: reload of checkpoint %d (version %d): %w", i, f.version, err)
 		}
-		if cur.Version != link.version {
-			return fmt.Errorf("persist: checkpoint %d replayed to version %d, want %d", i, cur.Version, link.version)
+		if b.Version != f.version {
+			return fmt.Errorf("persist: checkpoint %d reloaded at version %d, want %d", i, b.Version, f.version)
 		}
 		freshTM := core.New()
 		fresh := persistmap.New[int](freshTM)
-		if err := fresh.Restore(cur); err != nil {
+		if err := fresh.Restore(b); err != nil {
 			return fmt.Errorf("persist: restore of checkpoint %d into a fresh TM: %w", i, err)
 		}
 		reloaded := make(map[int]int)
@@ -330,11 +267,11 @@ func (w *persistWorkload) check(log *history.ExecLog, recs []OpRecord) error {
 		}
 		count := 0
 		for k := 0; k < w.keys; k++ {
-			present, val := tl.at(k, link.version)
+			present, val := tl.at(k, f.version)
 			rv, ok := reloaded[k]
 			if ok != present || (present && rv != val) {
 				return fmt.Errorf("persist: checkpoint %d (version %d) key %d reloaded as (%d,%v), model has (%d,%v)",
-					i, link.version, k, rv, ok, val, present)
+					i, f.version, k, rv, ok, val, present)
 			}
 			if present {
 				count++
@@ -342,32 +279,8 @@ func (w *persistWorkload) check(log *history.ExecLog, recs []OpRecord) error {
 		}
 		if len(reloaded) != count {
 			return fmt.Errorf("persist: checkpoint %d (version %d) reloaded %d bindings, model has %d",
-				i, link.version, len(reloaded), count)
+				i, f.version, len(reloaded), count)
 		}
-	}
-	// Chain DISCOVERY gets one end-to-end exercise too: resolving the
-	// directory at the last checkpoint's version must reproduce the
-	// incrementally replayed state exactly.
-	last := w.chain[len(w.chain)-1]
-	resolved, err := w.store.LoadVersion(last.version)
-	if err != nil {
-		return fmt.Errorf("persist: chain resolution at version %d: %w", last.version, err)
-	}
-	if resolved.Len() != cur.Len() {
-		return fmt.Errorf("persist: resolved chain has %d bindings, incremental replay has %d",
-			resolved.Len(), cur.Len())
-	}
-	err = nil
-	resolved.Ascend(func(k, v int) bool {
-		if cv, ok := cur.Get(k); !ok || cv != v {
-			err = fmt.Errorf("persist: resolved chain key %d = %d, incremental replay has (%d,%v)",
-				k, v, cv, ok)
-			return false
-		}
-		return true
-	})
-	if err != nil {
-		return err
 	}
 
 	// Layer 3: write-ahead durability under a mid-batch kill. A burst of
@@ -525,10 +438,9 @@ func (w *persistWorkload) checkWALCrash(vals map[int]int) error {
 	return nil
 }
 
-// notes reports the chain and WAL shape for the storm report.
+// notes reports the checkpoint and WAL shape for the storm report.
 func (w *persistWorkload) notes() []string {
-	notes := []string{fmt.Sprintf("chain: %d full + %d diff link(s), %d checkpoint(s) reloaded (%d cycles skipped)",
-		w.fulls, w.diffs, len(w.chain), w.skips)}
+	notes := []string{fmt.Sprintf("checkpoints: %d full(s) written and reloaded", len(w.fulls))}
 	if w.wal != nil {
 		st := w.wal.Stats()
 		group := float64(0)

@@ -303,7 +303,7 @@ func Run(cfg Config) (*Report, error) {
 // finishReport fills in the verification half of a report — stats, history
 // analysis, per-semantics verdict and the workload's model check — shared
 // by Run and the shrinker's replay runs. A workload holding external
-// resources (the persist workload's scratch directory and chain pin) is
+// resources (the persist workload's scratch directory and WAL) is
 // released afterwards on EVERY path, including the early worker-error and
 // analysis-error returns its check never sees.
 func finishReport(rep *Report, cfg Config, col *history.RingCollector, tm *core.TM, w workload, allRecs []OpRecord) {

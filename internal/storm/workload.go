@@ -32,7 +32,7 @@ type workload interface {
 // the one engine kept honest.
 // "lrucache" storms the transactional LRU of internal/cache with hit-rate
 // and invariant checking. "persist" is the crash-recovery storm: map
-// mutations interleaved with on-disk full+diff backup chains, every
+// mutations interleaved with on-disk full checkpoints, every
 // checkpoint reloaded into a fresh TM and held to the model's state at its
 // pin version. "privatize" storms the detach/republish read path: fenced
 // map mutations interleaved with quiescence-barrier privatization cycles

@@ -12,35 +12,63 @@ import (
 // stores to a cell only when it changes it, so its cost and its conflicts
 // follow what it changes, not the depth of the tree.
 
+// readVersions is a core.Recorder that, while armed, keeps the version
+// every read of the current attempt observed, in read order.
+type readVersions struct {
+	mu    sync.Mutex
+	armed bool
+	vers  []uint64
+}
+
+func (r *readVersions) Record(ev core.Event) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !r.armed {
+		return
+	}
+	switch ev.Kind {
+	case core.EventBegin:
+		r.vers = r.vers[:0]
+	case core.EventRead:
+		r.vers = append(r.vers, ev.Version)
+	}
+}
+
 // pathVersions reports the commit version of every node cell a search for
 // key passes — the root cell, then one per level down to the leaf — and,
-// separately, of key's value cell.
-func pathVersions(t *testing.T, tm *core.TM, m *TreeMapOf[int], key int) (path []uint64, val uint64) {
+// separately, of key's value cell, as the reads of one Classic
+// transaction observed them through rec, the recorder of m's TM.
+func pathVersions(t *testing.T, tm *core.TM, rec *readVersions, m *TreeMapOf[int], key int) (path []uint64, val uint64) {
 	t.Helper()
+	rec.mu.Lock()
+	rec.armed = true
+	rec.mu.Unlock()
 	err := tm.Atomically(core.Classic, func(tx *core.Tx) error {
-		path = path[:0]
-		b, ver := m.root.LoadVersioned(tx)
-		path = append(path, ver)
+		b := m.root.Load(tx)
 		for !b.leaf {
-			b, ver = b.kids[b.childFor(key)].LoadVersioned(tx)
-			path = append(path, ver)
+			b = b.kids[b.childFor(key)].Load(tx)
 		}
 		i := b.lowerBound(key)
 		if i == b.n || b.keys[i] != key {
 			t.Errorf("key %d is not bound", key)
 			return nil
 		}
-		_, val = b.vals[i].LoadVersioned(tx)
+		b.vals[i].Load(tx)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return path, val
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	rec.armed = false
+	n := len(rec.vers)
+	return append([]uint64(nil), rec.vers[:n-1]...), rec.vers[n-1]
 }
 
 func TestTreeMapOverwriteWritesOnlyTheValue(t *testing.T) {
-	tm := core.New()
+	rec := &readVersions{}
+	tm := core.New(core.WithRecorder(rec))
 	m := NewTreeMapOf[int](tm, 0)
 	rng := rand.New(rand.NewSource(1))
 	keys := rng.Perm(2048)
@@ -50,11 +78,11 @@ func TestTreeMapOverwriteWritesOnlyTheValue(t *testing.T) {
 		}
 	}
 	for _, k := range keys[:256] {
-		before, valBefore := pathVersions(t, tm, m, k)
+		before, valBefore := pathVersions(t, tm, rec, m, k)
 		if inserted, err := m.Put(k, -k); err != nil || inserted {
 			t.Fatalf("overwrite of %d: inserted=%v err=%v", k, inserted, err)
 		}
-		after, valAfter := pathVersions(t, tm, m, k)
+		after, valAfter := pathVersions(t, tm, rec, m, k)
 		if len(before) != len(after) {
 			t.Fatalf("key %d: the search path changed length, %d to %d cells", k, len(before), len(after))
 		}
